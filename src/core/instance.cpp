@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace dlb {
@@ -79,10 +81,28 @@ Instance::Instance(Borrowed, const Cost* costs, const GroupId* group_of,
   if (num_machines_ == 0) {
     throw std::invalid_argument("Instance: need at least one machine");
   }
+  bool all_unit = true;
   for (std::size_t i = 0; i < num_machines_; ++i) {
     if (group_of_[i] >= num_groups_) {
-      throw std::invalid_argument("Instance: machine references unknown group");
+      throw InstanceFieldError(
+          "group_of", "machine " + std::to_string(i) +
+                          " references unknown group " +
+                          std::to_string(group_of_[i]));
     }
+    if (!(scales_[i] > 0.0) || !std::isfinite(scales_[i])) {
+      throw InstanceFieldError(
+          "scales", "machine " + std::to_string(i) + " has scale " +
+                        std::to_string(scales_[i]) +
+                        " (must be finite and > 0)");
+    }
+    all_unit = all_unit && scales_[i] == 1.0;
+  }
+  if (all_unit != unit_scales_) {
+    throw InstanceFieldError(
+        "unit_scales", std::string("header says ") +
+                           (unit_scales_ ? "1" : "0") +
+                           " but the scales section says " +
+                           (all_unit ? "1" : "0"));
   }
   build_machines_by_group();
 }
@@ -101,6 +121,7 @@ Instance::Instance(const Instance& other)
       num_groups_(other.num_groups_),
       num_jobs_(other.num_jobs_),
       machines_by_group_(other.machines_by_group_),
+      group_min_scale_(other.group_min_scale_),
       num_job_types_(other.num_job_types_),
       max_cost_(other.max_cost_),
       unit_scales_(other.unit_scales_),
@@ -127,8 +148,12 @@ void Instance::rebind() {
 
 void Instance::build_machines_by_group() {
   machines_by_group_.assign(num_groups_, {});
+  group_min_scale_.assign(num_groups_,
+                          std::numeric_limits<double>::infinity());
   for (MachineId i = 0; i < num_machines_; ++i) {
-    machines_by_group_[group_of_[i]].push_back(i);
+    const GroupId g = group_of_[i];
+    machines_by_group_[g].push_back(i);
+    group_min_scale_[g] = std::min(group_min_scale_[g], scales_[i]);
   }
 }
 
@@ -205,9 +230,10 @@ Instance Instance::unrelated(std::vector<std::vector<Cost>> costs) {
 }
 
 Cost Instance::min_cost_of_job(JobId j) const {
-  Cost best = cost(0, j);
-  for (MachineId i = 1; i < num_machines(); ++i) {
-    best = std::min(best, cost(i, j));
+  Cost best = std::numeric_limits<Cost>::infinity();
+  for (GroupId g = 0; g < num_groups_; ++g) {
+    if (machines_by_group_[g].empty()) continue;
+    best = std::min(best, group_cost(g, j) * group_min_scale_[g]);
   }
   return best;
 }

@@ -28,6 +28,9 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -38,6 +41,21 @@ class InstanceStore;
 }  // namespace dlb::core
 
 namespace dlb {
+
+/// A structural field of an instance failed validation: a borrowed view
+/// opened over hostile `.dlbi` bytes. field() names the offending array or
+/// header cache ("group_of", "scales", "unit_scales").
+class InstanceFieldError : public std::runtime_error {
+ public:
+  InstanceFieldError(std::string field, const std::string& detail)
+      : std::runtime_error("Instance: field '" + field + "': " + detail),
+        field_(std::move(field)) {}
+
+  [[nodiscard]] const std::string& field() const noexcept { return field_; }
+
+ private:
+  std::string field_;
+};
 
 class Instance {
  public:
@@ -123,7 +141,11 @@ class Instance {
   /// Largest cost over all (machine, job) pairs.
   [[nodiscard]] Cost max_cost() const noexcept { return max_cost_; }
 
-  /// Cheapest execution of job j over all machines.
+  /// Cheapest execution of job j over all machines, computed per group in
+  /// O(groups): the minimum over non-empty groups g of
+  /// group_cost(g, j) * (smallest scale in g). Bitwise equal to the
+  /// machine-by-machine minimum, because for a fixed positive cost IEEE
+  /// multiplication is monotone in the scale.
   [[nodiscard]] Cost min_cost_of_job(JobId j) const;
 
   // ----- job types (Section V) -----
@@ -176,10 +198,11 @@ class Instance {
   struct Borrowed {};
 
   /// View constructor (core::InstanceStore::open): the arrays live in an
-  /// mmap'd `.dlbi` section that outlives this object. Structural
-  /// validation beyond group-id bounds happened at save time; `max_cost`
-  /// and `unit_scales` come precomputed from the file header, so opening
-  /// costs O(machines), never O(groups * jobs).
+  /// mmap'd `.dlbi` section that outlives this object. One O(machines) pass
+  /// validates group ids and scales and recomputes `unit_scales` against
+  /// the header's value (InstanceFieldError on any mismatch); `max_cost`
+  /// comes precomputed from the header, so opening never costs
+  /// O(groups * jobs).
   Instance(Borrowed, const Cost* costs, const GroupId* group_of,
            const double* scales, const JobTypeId* types,
            std::size_t num_machines, std::size_t num_groups,
@@ -206,6 +229,7 @@ class Instance {
   std::size_t num_groups_ = 0;
   std::size_t num_jobs_ = 0;
   std::vector<std::vector<MachineId>> machines_by_group_;
+  std::vector<double> group_min_scale_;  // [group], unused if group empty
   std::size_t num_job_types_ = 0;
   Cost max_cost_ = 0.0;
   bool unit_scales_ = true;

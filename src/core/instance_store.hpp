@@ -13,9 +13,10 @@
 //     *borrowed view* whose flat cost/group/scale arrays point straight
 //     into the mapping. Opening is O(machines): the O(groups * jobs) cost
 //     matrix is never copied or scanned, because the versioned header
-//     carries the caches (max_cost, unit_scales) that would otherwise
-//     require the scan. This is what lets a million-machine / hundred-
-//     million-job instance open in milliseconds and survive restarts.
+//     carries the max_cost cache that would otherwise require the scan
+//     (the O(machines) sections are validated eagerly; docs/storage.md).
+//     This is what lets a million-machine / hundred-million-job instance
+//     open in milliseconds and survive restarts.
 //
 // Ownership / view rules (see docs/storage.md):
 //   * instance() views are valid only while the store is alive;
@@ -78,7 +79,8 @@ class InstanceStore {
   /// and the valid set. Prefer the free function core::load_instance().
   [[nodiscard]] static InstanceStore open(const std::string& path);
 
-  /// Opens a binary `.dlbi` by mmap (throws on bad magic/version/shape).
+  /// Opens a binary `.dlbi` by mmap (throws on bad magic/version/shape;
+  /// InstanceFieldError names a hostile group_of, scales or unit_scales).
   [[nodiscard]] static InstanceStore open_mapped(const std::string& path);
 
   InstanceStore(InstanceStore&&) noexcept;

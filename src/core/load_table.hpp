@@ -8,25 +8,30 @@
 //   * moving a job between machines is O(1) with zero allocation — the old
 //     vector-of-vectors layout paid an O(k) linear find plus occasional
 //     push_back reallocation on every move;
-//   * the whole table is seven flat arrays (SoA) carved out of a single
+//   * the whole table is nine flat arrays (SoA) carved out of a single
 //     page-aligned slab, each section padded to a cache line, so a
 //     pairwise session touches two small slabs of machine state plus the
 //     shared link pool rather than pointer-chasing per-machine heap
 //     blocks (and at million-machine scale the table is one allocation,
-//     not seven);
+//     not nine);
 //   * two sessions on disjoint machine pairs touch disjoint entries of
 //     every array, which is what lets ParallelExchangeEngine run sessions
 //     concurrently without synchronising on the table itself;
 //   * the slab is first-touched in shards (core/numa.hpp), so on a
 //     multi-socket box its pages spread across NUMA nodes. Placement
 //     never changes contents: results are bitwise identical at any
-//     DLB_NUMA_SHARDS setting.
+//     DLB_NUMA_SHARDS setting;
+//   * every load change records its machine in a touched set (a flag per
+//     machine plus a list), which Schedule::makespan() drains to keep
+//     Cmax incrementally. The set lives in the slab, so tracking it adds
+//     no allocation to a Schedule.
 //
 // Iteration order over a machine's jobs is the insertion order of the
 // current residents (most recently attached first). Nothing in the library
 // depends on that order: kernels sort their pooled jobs by id, and all
 // consistency checks are order-insensitive.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -97,9 +102,32 @@ class LoadTable {
   /// Overwrites one load accumulator (src/dist/checkpoint restore): the
   /// incremental sum is order-dependent in the last ulp, so a resumed run
   /// must inherit the accumulator bits, not a from-scratch recomputation.
-  void set_load(MachineId i, Cost load) noexcept { loads_[i] = load; }
+  void set_load(MachineId i, Cost load) noexcept {
+    loads_[i] = load;
+    touch(i);
+  }
   [[nodiscard]] std::size_t count(MachineId i) const noexcept {
     return count_[i];
+  }
+
+  // ----- touched machines (Schedule's incremental Cmax) -----
+  //
+  // attach, detach and set_load record their machine once until the next
+  // clear_touched(). A first touch sets the machine's flag and claims a
+  // list slot with one relaxed fetch_add, so sessions on disjoint
+  // machines write disjoint flags and slots.
+
+  /// Machines whose load changed since the last clear_touched(), each
+  /// listed once. Must not race with a mutation.
+  [[nodiscard]] std::span<const MachineId> touched() const noexcept {
+    return {touched_list_, num_touched_.load(std::memory_order_relaxed)};
+  }
+  /// Empties the touched set. Const because the set is bookkeeping for
+  /// readers (Schedule::makespan() const drains it); must not race with a
+  /// mutation.
+  void clear_touched() const noexcept {
+    for (const MachineId i : touched()) touched_[i] = 0;
+    num_touched_.store(0, std::memory_order_relaxed);
   }
 
   /// Jobs that ever arrived on machine i via attach() (monotone). Disjoint
@@ -160,6 +188,7 @@ class LoadTable {
     ++count_[i];
     loads_[i] += cost;
     if (migrated) ++arrivals_[i];
+    touch(i);
   }
 
   /// Unlinks job j from machine i and subtracts `cost` from its load. O(1).
@@ -174,9 +203,20 @@ class LoadTable {
     prev_[j] = kNil;
     --count_[i];
     loads_[i] -= cost;
+    touch(i);
   }
 
  private:
+  // The first touch is out of line so that attach/detach, which every
+  // kernel and the open-system event loop inline, stay small.
+  void touch(MachineId i) noexcept {
+    if (touched_[i] == 0) [[unlikely]] first_touch(i);
+  }
+  [[gnu::noinline]] void first_touch(MachineId i) noexcept {
+    touched_[i] = 1;
+    touched_list_[num_touched_.fetch_add(1, std::memory_order_relaxed)] = i;
+  }
+
   /// Allocates the slab, first-touches it across DLB_NUMA_SHARDS shards
   /// (zero fill), and binds the section pointers. Sections are cache-line
   /// padded: job-indexed link pool first (the hottest, largest arrays),
@@ -197,8 +237,13 @@ class LoadTable {
     const std::size_t off_live = numa::align_up(
         off_arrivals + num_machines * sizeof(std::uint64_t),
         numa::kCacheLine);
-    bytes_ = numa::align_up(off_live + num_machines * sizeof(std::uint8_t),
-                            numa::kCacheLine);
+    const std::size_t off_touched = numa::align_up(
+        off_live + num_machines * sizeof(std::uint8_t), numa::kCacheLine);
+    const std::size_t off_touched_list = numa::align_up(
+        off_touched + num_machines * sizeof(std::uint8_t), numa::kCacheLine);
+    bytes_ = numa::align_up(
+        off_touched_list + num_machines * sizeof(MachineId),
+        numa::kCacheLine);
     slab_ = numa::alloc_slab(bytes_);
     numa::first_touch(slab_.get(), bytes_, numa::shard_count());
     std::byte* base = slab_.get();
@@ -209,6 +254,9 @@ class LoadTable {
     loads_ = reinterpret_cast<Cost*>(base + off_loads);
     arrivals_ = reinterpret_cast<std::uint64_t*>(base + off_arrivals);
     live_ = reinterpret_cast<std::uint8_t*>(base + off_live);
+    touched_ = reinterpret_cast<std::uint8_t*>(base + off_touched);
+    touched_list_ = reinterpret_cast<MachineId*>(base + off_touched_list);
+    num_touched_.store(0, std::memory_order_relaxed);
     num_machines_ = num_machines;
     num_jobs_ = num_jobs;
   }
@@ -221,13 +269,17 @@ class LoadTable {
       count_ = nullptr;
       loads_ = nullptr;
       arrivals_ = nullptr;
-      live_ = nullptr;
+      live_ = touched_ = nullptr;
+      touched_list_ = nullptr;
+      num_touched_.store(0, std::memory_order_relaxed);
       num_machines_ = num_jobs_ = num_live_ = 0;
       return;
     }
     init(other.num_machines_, other.num_jobs_);
     std::memcpy(slab_.get(), other.slab_.get(), bytes_);
     num_live_ = other.num_live_;
+    num_touched_.store(other.num_touched_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
   }
 
   void swap(LoadTable& other) noexcept {
@@ -240,6 +292,13 @@ class LoadTable {
     std::swap(loads_, other.loads_);
     std::swap(arrivals_, other.arrivals_);
     std::swap(live_, other.live_);
+    std::swap(touched_, other.touched_);
+    std::swap(touched_list_, other.touched_list_);
+    num_touched_.store(
+        other.num_touched_.exchange(
+            num_touched_.load(std::memory_order_relaxed),
+            std::memory_order_relaxed),
+        std::memory_order_relaxed);
     std::swap(num_machines_, other.num_machines_);
     std::swap(num_jobs_, other.num_jobs_);
     std::swap(num_live_, other.num_live_);
@@ -256,6 +315,9 @@ class LoadTable {
   Cost* loads_ = nullptr;
   std::uint64_t* arrivals_ = nullptr;
   std::uint8_t* live_ = nullptr;  // 1 = in the active machine set
+  std::uint8_t* touched_ = nullptr;  // 1 = listed in touched_list_
+  MachineId* touched_list_ = nullptr;
+  mutable std::atomic<std::size_t> num_touched_{0};
   std::size_t num_machines_ = 0;
   std::size_t num_jobs_ = 0;
   std::size_t num_live_ = 0;

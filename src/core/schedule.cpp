@@ -40,8 +40,7 @@ Schedule::Schedule(const Schedule& other)
       table_(other.table_),
       migrations_(other.migrations()),
       cached_makespan_(other.cached_makespan_),
-      makespan_dirty_(
-          other.makespan_dirty_.load(std::memory_order_relaxed)) {}
+      cached_holder_(other.cached_holder_) {}
 
 Schedule& Schedule::operator=(const Schedule& other) {
   if (this == &other) return *this;
@@ -52,9 +51,7 @@ Schedule& Schedule::operator=(const Schedule& other) {
   table_ = other.table_;
   migrations_.store(other.migrations(), std::memory_order_relaxed);
   cached_makespan_ = other.cached_makespan_;
-  makespan_dirty_.store(
-      other.makespan_dirty_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  cached_holder_ = other.cached_holder_;
   return *this;
 }
 
@@ -82,11 +79,26 @@ void Schedule::set_decision_instance(
 }
 
 Cost Schedule::makespan() const {
-  if (makespan_dirty_.load(std::memory_order_relaxed)) {
+  // Untouched loads are unchanged, so they are at most the cached max, and
+  // the holder still holds it unless the holder itself lost load.
+  bool rescan = false;
+  for (const MachineId i : table_.touched()) {
+    const Cost load = table_.load(i);
+    if (i == cached_holder_ && load < cached_makespan_) {
+      rescan = true;
+      break;
+    }
+    if (load > cached_makespan_) {
+      cached_makespan_ = load;
+      cached_holder_ = i;
+    }
+  }
+  table_.clear_touched();
+  if (rescan) {
     const std::span<const Cost> loads = table_.loads();
-    cached_makespan_ =
-        loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-    makespan_dirty_.store(false, std::memory_order_relaxed);
+    const auto it = std::max_element(loads.begin(), loads.end());
+    cached_makespan_ = it == loads.end() ? 0.0 : *it;
+    cached_holder_ = static_cast<MachineId>(it - loads.begin());
   }
   return cached_makespan_;
 }
@@ -104,7 +116,6 @@ void Schedule::assign(JobId j, MachineId i) {
   assignment_.assign(j, i);
   table_.attach(j, i, instance_->cost(i, j), /*migrated=*/false);
   if (decision_instance_) decision_loads_[i] += decision_instance_->cost(i, j);
-  mark_dirty();
 }
 
 void Schedule::move(JobId j, MachineId to) {
@@ -122,7 +133,6 @@ void Schedule::move(JobId j, MachineId to) {
     decision_loads_[to] += decision_instance_->cost(to, j);
   }
   migrations_.fetch_add(1, std::memory_order_relaxed);
-  mark_dirty();
 }
 
 void Schedule::unassign(JobId j) {
@@ -133,7 +143,6 @@ void Schedule::unassign(JobId j) {
     decision_loads_[from] -= decision_instance_->cost(from, j);
   }
   assignment_.unassign(j);
-  mark_dirty();
 }
 
 void Schedule::restore_loads(const std::vector<Cost>& loads) {
@@ -146,7 +155,6 @@ void Schedule::restore_loads(const std::vector<Cost>& loads) {
   for (MachineId i = 0; i < loads.size(); ++i) {
     table_.set_load(i, loads[i]);
   }
-  mark_dirty();
 }
 
 std::uint64_t Schedule::fingerprint() const {

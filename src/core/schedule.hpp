@@ -6,13 +6,16 @@
 // balancing kernel and simulator operates on.
 //
 // Storage: per-machine state lives in a LoadTable (contiguous pooled
-// arrays), so moving a job is O(1) and allocation-free. Concurrency
-// contract (what ParallelExchangeEngine relies on; see
+// arrays), so moving a job is O(1) and allocation-free. Cmax is cached
+// with the machine that holds it; the LoadTable records which machines'
+// loads changed, and makespan() folds only those into the cache.
+// Concurrency contract (what ParallelExchangeEngine relies on; see
 // docs/parallelism.md): mutations on disjoint machine pairs may run
-// concurrently — they touch disjoint LoadTable entries and disjoint
-// assignment slots, while the global migration total and the
-// makespan-dirty flag are relaxed atomics. makespan(), fingerprint() and
-// the other whole-schedule reads must not race with any mutation.
+// concurrently — they touch disjoint LoadTable entries (touched flags
+// included) and disjoint assignment slots, while the global migration
+// total and the touched-list length are relaxed atomics. makespan(),
+// fingerprint() and the other whole-schedule reads must not race with
+// any mutation.
 
 #include <atomic>
 #include <cstdint>
@@ -38,8 +41,8 @@ class Schedule {
   /// assignment.
   Schedule(const Instance& instance, Assignment assignment);
 
-  // The atomic members (migration total, makespan cache flag) are not
-  // copyable by default; copies snapshot their current values.
+  // The atomic migration total is not copyable by default; copies
+  // snapshot its current value.
   Schedule(const Schedule& other);
   Schedule& operator=(const Schedule& other);
 
@@ -95,7 +98,11 @@ class Schedule {
     return table_.load(i);
   }
 
-  /// Cmax = max_i C(i). O(m) on first call after a mutation, then cached.
+  /// Cmax = max_i C(i), bitwise the max over all loads. Walks only the
+  /// machines whose load changed since the previous call (all of them
+  /// after restore_loads()), and rescans all m loads only when the machine
+  /// holding the cached max lost load. With pairwise exchanges that makes
+  /// it O(1) amortized per exchange.
   /// Whole-schedule read: never call concurrently with a mutation.
   [[nodiscard]] Cost makespan() const;
 
@@ -171,10 +178,6 @@ class Schedule {
   [[nodiscard]] bool check_consistency(double tol = 1e-6) const;
 
  private:
-  void mark_dirty() noexcept {
-    makespan_dirty_.store(true, std::memory_order_relaxed);
-  }
-
   const Instance* instance_;
   std::shared_ptr<const Instance> decision_instance_;
   /// Per-machine loads in decision-instance costs; empty when no
@@ -183,8 +186,11 @@ class Schedule {
   Assignment assignment_;
   LoadTable table_;
   std::atomic<std::uint64_t> migrations_{0};
+  // Cmax as of the last makespan() call and a machine that held it; loads
+  // outside table_.touched() have not changed since. A new table has all
+  // loads 0, which this starts as.
   mutable Cost cached_makespan_ = 0.0;
-  mutable std::atomic<bool> makespan_dirty_{true};
+  mutable MachineId cached_holder_ = 0;
 };
 
 }  // namespace dlb

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/generators.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb {
@@ -188,6 +193,179 @@ TEST(ScheduleProperty, RandomMoveSequencePreservesConsistency) {
     max_load = std::max(max_load, s.load(i));
   }
   EXPECT_DOUBLE_EQ(s.makespan(), max_load);
+}
+
+// ----- Cmax cache differential -----
+//
+// makespan() folds only the machines touched since its last call into a
+// cached max. The reference scans every load. Values are compared as
+// IEEE-754 bit patterns after random mutation sequences.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+Cost reference_makespan(const Schedule& s) {
+  Cost best = s.load(0);
+  for (MachineId i = 1; i < s.num_machines(); ++i) {
+    best = std::max(best, s.load(i));
+  }
+  return best;
+}
+
+/// One random mutation. Cases 3-5 take a job off the machine holding the
+/// max, so the holder loses load; case 6 overwrites every accumulator
+/// through restore_loads() with the holder's load halved.
+void random_mutation(Schedule& s, stats::Rng& rng) {
+  const Instance& inst = s.instance();
+  const auto j = static_cast<JobId>(rng.below(inst.num_jobs()));
+  const auto to = static_cast<MachineId>(rng.below(inst.num_machines()));
+  switch (rng.below(20)) {
+    case 0:
+    case 1:
+    case 2:
+      s.unassign(j);
+      break;
+    case 3:
+    case 4:
+    case 5: {
+      const MachineId holder = s.argmax_load();
+      const auto jobs = s.jobs_on(holder);
+      if (!jobs.empty()) s.move(*jobs.begin(), to);
+      break;
+    }
+    case 6: {
+      std::vector<Cost> loads(s.num_machines());
+      for (MachineId i = 0; i < loads.size(); ++i) loads[i] = s.load(i);
+      loads[s.argmax_load()] *= 0.5;
+      s.restore_loads(loads);
+      break;
+    }
+    default:
+      s.move(j, to);  // assigns when j is unassigned
+      break;
+  }
+}
+
+void expect_cache_matches(const Schedule& s, const char* what, int step) {
+  ASSERT_EQ(bits(s.makespan()), bits(reference_makespan(s)))
+      << what << " step " << step;
+}
+
+/// Random mutations with makespan() queried at random points, so several
+/// mutations accumulate between queries.
+void run_sequence(Schedule& s, stats::Rng& rng, int steps, const char* what) {
+  for (int step = 0; step < steps; ++step) {
+    random_mutation(s, rng);
+    if (rng.below(3) == 0) expect_cache_matches(s, what, step);
+  }
+  expect_cache_matches(s, what, steps);
+}
+
+TEST(MakespanCache, RandomSequencesMatchFullScanBitwise) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Instance inst =
+        gen::uniform_unrelated(7, 60, 1.0, 100.0, /*seed=*/seed);
+    Schedule s(inst, gen::random_assignment(inst, seed + 100));
+    stats::Rng rng(seed + 200);
+    run_sequence(s, rng, 2000, "unrelated");
+  }
+}
+
+TEST(MakespanCache, TiesMatchFullScanBitwise) {
+  // Integer costs on identical machines: loads tie all the time, and the
+  // holder often shares the max with other machines.
+  std::vector<Cost> costs(48);
+  stats::Rng cost_rng(5);
+  for (Cost& c : costs) c = static_cast<Cost>(1 + cost_rng.below(3));
+  const Instance inst = Instance::identical(6, costs);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Schedule s(inst, Assignment::round_robin(inst.num_jobs(), 6));
+    stats::Rng rng(seed);
+    run_sequence(s, rng, 2000, "ties");
+  }
+}
+
+/// A warm schedule of `inst` whose max sits on a machine other than the
+/// one holding the max of `source`.
+Schedule warm_elsewhere(const Instance& inst, const Schedule& source) {
+  const auto elsewhere = static_cast<MachineId>(
+      (source.argmax_load() + 1) % inst.num_machines());
+  Schedule s(inst, Assignment::all_on(inst.num_jobs(), elsewhere));
+  (void)s.makespan();
+  return s;
+}
+
+/// Takes a job off the machine holding the max; nothing else changes.
+void drop_from_holder(Schedule& s) {
+  const auto jobs = s.jobs_on(s.argmax_load());
+  if (!jobs.empty()) s.unassign(*jobs.begin());
+}
+
+TEST(MakespanCache, CopiesMidSequenceKeepExactCaches) {
+  const Instance inst = gen::related_uniform(8, 80, 1.0, 50.0, 0.5, 2.0, 3);
+  Schedule s(inst, gen::random_assignment(inst, 4));
+  stats::Rng rng(5);
+  run_sequence(s, rng, 300, "original");
+
+  // Copies taken while the source has mutations pending.
+  random_mutation(s, rng);
+  random_mutation(s, rng);
+  Schedule copied(s);
+  expect_cache_matches(copied, "copy-constructed", 0);
+  Schedule assigned = warm_elsewhere(inst, s);
+  random_mutation(s, rng);
+  assigned = s;
+  expect_cache_matches(assigned, "copy-assigned", 0);
+
+  // Copies of a drained source whose max holder then loses load: only an
+  // inherited holder notices. Machine 0 is emptied so that the holder
+  // differs from the one a fresh cache starts with.
+  while (!s.jobs_on(0).empty()) s.unassign(*s.jobs_on(0).begin());
+  (void)s.makespan();
+  Schedule copied_drained(s);
+  drop_from_holder(copied_drained);
+  expect_cache_matches(copied_drained, "copy-constructed, drained", 0);
+  Schedule assigned_drained = warm_elsewhere(inst, s);
+  assigned_drained = s;
+  drop_from_holder(assigned_drained);
+  expect_cache_matches(assigned_drained, "copy-assigned, drained", 0);
+
+  stats::Rng copied_rng(7);
+  stats::Rng assigned_rng(8);
+  run_sequence(s, rng, 500, "original");
+  run_sequence(copied, copied_rng, 500, "copy-constructed");
+  run_sequence(assigned, assigned_rng, 500, "copy-assigned");
+}
+
+TEST(MakespanCache, ConcurrentDisjointPairMovesThenMakespan) {
+  // Each round pairs every machine with one other; the pool runs the
+  // pairs concurrently, each moving jobs from the heavier machine of its
+  // pair to the lighter, so the holder of the max usually loses load.
+  constexpr std::size_t kMachines = 64;
+  const Instance inst =
+      gen::uniform_unrelated(kMachines, 2000, 1.0, 100.0, /*seed=*/9);
+  Schedule s(inst, gen::random_assignment(inst, 10));
+  parallel::ThreadPool pool(4);
+  std::vector<MachineId> order(kMachines);
+  for (MachineId i = 0; i < kMachines; ++i) order[i] = i;
+  stats::Rng plan_rng(11);
+  for (int round = 0; round < 40; ++round) {
+    stats::shuffle(order.begin(), order.end(), plan_rng);
+    parallel::parallel_for(
+        pool, kMachines / 2, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t p = begin; p < end; ++p) {
+            MachineId from = order[2 * p];
+            MachineId to = order[2 * p + 1];
+            if (s.load(from) < s.load(to)) std::swap(from, to);
+            std::vector<JobId> jobs;
+            for (const JobId j : s.jobs_on(from)) jobs.push_back(j);
+            for (std::size_t k = 0; k < jobs.size(); k += 3) {
+              s.move(jobs[k], to);
+            }
+          }
+        });
+    expect_cache_matches(s, "concurrent", round);
+  }
+  EXPECT_TRUE(s.check_consistency());
 }
 
 }  // namespace

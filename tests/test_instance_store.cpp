@@ -12,8 +12,10 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -225,6 +227,94 @@ TEST(InstanceStore, OpenMappedRejectsTruncationVersionAndBadMagic) {
   }
   EXPECT_THROW((void)InstanceStore::open_mapped(file.path()),
                std::runtime_error);
+}
+
+// ----- hostile O(machines) content: typed errors naming the field -----
+//
+// Byte offsets inside the 4096-byte .dlbi header (see instance_store.hpp):
+// the u32 unit_scales cache, then the u64 offsets of the group_of and
+// scales sections.
+constexpr std::size_t kUnitScalesAt = 56;
+constexpr std::size_t kOffGroupOfAt = 64;
+constexpr std::size_t kOffScalesAt = 72;
+
+template <typename T>
+T read_at(const std::string& bytes, std::size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void write_at(std::string& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+/// Writes `bytes` to `path`, opens it mapped, and expects an
+/// InstanceFieldError naming `field`.
+void expect_field_error(const std::string& path, const std::string& bytes,
+                        const std::string& field) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    (void)InstanceStore::open_mapped(path);
+    FAIL() << "open_mapped accepted a hostile '" << field << "'";
+  } catch (const InstanceFieldError& error) {
+    EXPECT_EQ(error.field(), field) << error.what();
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(InstanceStore, OpenMappedRejectsHostileScalesWithTypedErrors) {
+  const Instance original = sample_instance();  // unit scales
+  ASSERT_TRUE(original.unit_scales());
+  TempFile file("hostile_scales.dlbi");
+  save_dlbi(original, file.path());
+  const std::string good = read_file(file.path());
+  const auto scales_at = read_at<std::uint64_t>(good, kOffScalesAt);
+  const std::size_t machine2 = scales_at + 2 * sizeof(double);
+
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 0.0, -0.0, -1.5}) {
+    std::string patched = good;
+    write_at(patched, machine2, bad);
+    expect_field_error(file.path(), patched, "scales");
+  }
+
+  // A valid non-unit scale under a header that still claims unit scales.
+  std::string non_unit = good;
+  write_at(non_unit, machine2, 2.0);
+  expect_field_error(file.path(), non_unit, "unit_scales");
+
+  // All scales are 1 but the header says otherwise.
+  std::string header_lies = good;
+  write_at<std::uint32_t>(header_lies, kUnitScalesAt, 0);
+  expect_field_error(file.path(), header_lies, "unit_scales");
+
+  // A header that agrees with a non-unit scale opens fine.
+  write_at<std::uint32_t>(non_unit, kUnitScalesAt, 0);
+  {
+    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
+    out.write(non_unit.data(), static_cast<std::streamsize>(non_unit.size()));
+  }
+  const InstanceStore store = InstanceStore::open_mapped(file.path());
+  EXPECT_FALSE(store.instance().unit_scales());
+  EXPECT_EQ(store.instance().scale(2), 2.0);
+}
+
+TEST(InstanceStore, OpenMappedRejectsUnknownGroupWithTypedError) {
+  TempFile file("hostile_group.dlbi");
+  save_dlbi(sample_instance(), file.path());
+  std::string patched = read_file(file.path());
+  const auto group_of_at = read_at<std::uint64_t>(patched, kOffGroupOfAt);
+  write_at<std::uint32_t>(patched, group_of_at + 3 * sizeof(std::uint32_t),
+                          7);
+  expect_field_error(file.path(), patched, "group_of");
 }
 
 // ----- fuzz: text -> binary -> mapped -> text over every regime -----

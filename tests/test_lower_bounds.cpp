@@ -1,9 +1,21 @@
 #include "core/lower_bounds.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "centralized/exact_bnb.hpp"
+#include "check/case_gen.hpp"
 #include "core/generators.hpp"
+#include "core/instance_store.hpp"
+#include "stats/rng.hpp"
 
 namespace dlb {
 namespace {
@@ -81,6 +93,139 @@ TEST_P(BoundsVsExactSweep, UnrelatedBoundsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundsVsExactSweep,
                          ::testing::Range<std::uint64_t>(0, 12));
+
+// ----- differential: per-group minima vs a machine-by-machine scan -----
+//
+// Instance::min_cost_of_job takes its minimum per group (cost times the
+// group's smallest scale). The reference here scans every machine, and
+// every bound built on it is recomputed from that reference. Comparisons
+// are on IEEE-754 bit patterns: no tolerance.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+Cost brute_force_min_cost(const Instance& inst, JobId j) {
+  Cost best = inst.cost(0, j);
+  for (MachineId i = 1; i < inst.num_machines(); ++i) {
+    best = std::min(best, inst.cost(i, j));
+  }
+  return best;
+}
+
+void expect_bounds_match_brute_force(const Instance& inst,
+                                     const std::string& label) {
+  Cost max_min = 0.0;
+  Cost total = 0.0;
+  for (JobId j = 0; j < inst.num_jobs(); ++j) {
+    const Cost reference = brute_force_min_cost(inst, j);
+    ASSERT_EQ(bits(inst.min_cost_of_job(j)), bits(reference))
+        << label << " job " << j;
+    max_min = std::max(max_min, reference);
+    total += reference;
+  }
+  EXPECT_EQ(bits(inst.total_min_work()), bits(total)) << label;
+  EXPECT_EQ(bits(max_min_cost_bound(inst)), bits(max_min)) << label;
+  Cost bound =
+      std::max(max_min, total / static_cast<double>(inst.num_machines()));
+  if (inst.num_groups() == 2 && inst.unit_scales() &&
+      !inst.machines_in_group(0).empty() &&
+      !inst.machines_in_group(1).empty()) {
+    bound = std::max(bound, two_cluster_fractional_opt(inst));
+  }
+  EXPECT_EQ(bits(makespan_lower_bound(inst)), bits(bound)) << label;
+}
+
+/// Checks `inst` as built, then as a borrowed view of its `.dlbi` file.
+void expect_heap_and_mapped_match(const Instance& inst,
+                                  const std::string& label) {
+  expect_bounds_match_brute_force(inst, label + " (heap)");
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dlb_test_bounds_" + std::to_string(::getpid()) + ".dlbi"))
+          .string();
+  core::save_dlbi(inst, path);
+  {
+    const core::InstanceStore store = core::InstanceStore::open_mapped(path);
+    ASSERT_TRUE(store.instance().is_view()) << label;
+    expect_bounds_match_brute_force(store.instance(), label + " (mapped)");
+  }
+  std::filesystem::remove(path);
+}
+
+/// Per-machine scales drawn from a small set, so groups mix ties with
+/// scales whose products round differently.
+std::vector<double> random_scales(std::size_t machines, stats::Rng& rng) {
+  const std::vector<double> pool = {1.0, 1.0 / 3.0, 0.7, 1.0 / 7.0,
+                                    2.5, 0.1,       3.0, 1.0 / 3.0};
+  std::vector<double> scales(machines);
+  for (double& s : scales) s = pool[rng.below(pool.size())];
+  return scales;
+}
+
+std::vector<std::vector<Cost>> random_rows(std::size_t groups,
+                                           std::size_t jobs,
+                                           stats::Rng& rng) {
+  std::vector<std::vector<Cost>> rows(groups, std::vector<Cost>(jobs));
+  for (auto& row : rows) {
+    for (Cost& c : row) c = 1.0 + 999.0 * rng.uniform();
+  }
+  return rows;
+}
+
+TEST(LowerBoundDifferential, EveryMachineRegimeMatchesBruteForceBitwise) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    stats::Rng rng(seed);
+    std::vector<std::pair<std::string, Instance>> cases;
+    cases.emplace_back("identical",
+                       gen::identical_uniform(5, 40, 1.0, 100.0, seed));
+    cases.emplace_back(
+        "related", gen::related_uniform(6, 40, 1.0, 100.0, 0.3, 3.0, seed));
+    cases.emplace_back("two_cluster",
+                       gen::two_cluster_uniform(4, 3, 40, 1.0, 100.0, seed));
+    cases.emplace_back(
+        "multi_cluster",
+        gen::multi_cluster_uniform({3, 2, 4}, 40, 1.0, 100.0, seed));
+    cases.emplace_back("unrelated",
+                       gen::uniform_unrelated(5, 40, 1.0, 100.0, seed));
+    // Clusters whose machines also carry their own scales, interleaved.
+    std::vector<GroupId> group_of(9);
+    for (MachineId i = 0; i < group_of.size(); ++i) group_of[i] = i % 3;
+    cases.emplace_back("scaled_multi_cluster",
+                       Instance(random_rows(3, 40, rng), group_of,
+                                random_scales(group_of.size(), rng)));
+    cases.emplace_back("scaled_two_cluster",
+                       Instance(random_rows(2, 40, rng), {0, 1, 1, 0, 1},
+                                random_scales(5, rng)));
+    for (const auto& [name, inst] : cases) {
+      expect_heap_and_mapped_match(inst,
+                                   name + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(LowerBoundDifferential, GroupsWithoutMachinesAreSkipped) {
+  // Group 1 has the cheapest row but no machine: it must not count.
+  stats::Rng rng(11);
+  auto rows = random_rows(3, 30, rng);
+  for (Cost& c : rows[1]) c = 1e-3;
+  const Instance scaled(rows, {0, 2, 2, 0}, {0.7, 1.0 / 3.0, 2.5, 0.1});
+  expect_heap_and_mapped_match(scaled, "empty middle group, scaled");
+  // Two groups with unit scales but one of them empty: the fractional
+  // two-cluster bound must stay out of makespan_lower_bound.
+  const Instance unit({rows[0], rows[1]}, {0, 0, 0});
+  expect_heap_and_mapped_match(unit, "empty second cluster");
+}
+
+TEST(LowerBoundDifferential, CheckRegimesMatchBruteForceBitwise) {
+  for (const check::Regime regime :
+       {check::Regime::kIdentical, check::Regime::kRelated,
+        check::Regime::kTwoCluster, check::Regime::kMultiCluster,
+        check::Regime::kUnrelated, check::Regime::kDegenerate}) {
+    for (std::uint64_t index = 0; index < 6; ++index) {
+      const check::GeneratedCase c = check::make_case(2027, index, regime);
+      expect_heap_and_mapped_match(c.instance, c.name);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dlb
