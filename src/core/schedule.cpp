@@ -152,9 +152,7 @@ void Schedule::restore_loads(const std::vector<Cost>& loads) {
         std::to_string(table_.num_machines()) + " loads, got " +
         std::to_string(loads.size()));
   }
-  for (MachineId i = 0; i < loads.size(); ++i) {
-    table_.set_load(i, loads[i]);
-  }
+  for (MachineId i = 0; i < loads.size(); ++i) restore_load(i, loads[i]);
 }
 
 std::uint64_t Schedule::fingerprint() const {

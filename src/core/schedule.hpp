@@ -172,6 +172,12 @@ class Schedule {
   /// recomputing from the assignment is only equal up to rounding.
   void restore_loads(const std::vector<Cost>& loads);
 
+  /// Overwrites one machine's load accumulator, leaving the other m - 1
+  /// untouched (the lockstep protocol's per-session canonical sums).
+  void restore_load(MachineId i, Cost load) noexcept {
+    table_.set_load(i, load);
+  }
+
   /// Recomputes loads from scratch and checks internal consistency.
   /// Returns true if the incremental state matches (tests use this to
   /// guard against drift; tolerance covers FP accumulation error).

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "stats/rng.hpp"
@@ -25,6 +25,29 @@ constexpr std::uint64_t kPeerStreamTag = 0x0D15BEE2ULL;
 // without a salt their trace ids would collide with the session whose
 // token value matches. Domain-separate them.
 constexpr std::uint64_t kTokenTraceTag = 0x0D15707EULL;
+
+// A payload job list is usable only when it is strictly ascending (the
+// merge diff and the move extraction rely on it) and names real jobs.
+bool is_job_list(const std::vector<JobId>& jobs, std::size_t num_jobs) {
+  return std::adjacent_find(jobs.begin(), jobs.end(),
+                            std::greater_equal<>()) == jobs.end() &&
+         (jobs.empty() || jobs.back() < num_jobs);
+}
+
+// Two ascending lists share no job.
+bool disjoint(const std::vector<JobId>& a, const std::vector<JobId>& b) {
+  auto x = a.begin();
+  auto y = b.begin();
+  while (x != a.end() && y != b.end()) {
+    if (*x == *y) return false;
+    if (*x < *y) {
+      ++x;
+    } else {
+      ++y;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -89,6 +112,7 @@ TransportRunner::TransportRunner(Schedule& replica,
     c_retries_ = &metrics->counter("dist.transport.retries");
     c_duplicates_ = &metrics->counter("dist.transport.duplicates");
     c_frames_sent_ = &metrics->counter("dist.transport.frames_sent");
+    c_bad_payloads_ = &metrics->counter("dist.transport.bad_payloads");
   }
   tracer_ = obs::tracer_of(options_.obs);
   flight_ = obs::flight_of(options_.obs);
@@ -112,9 +136,13 @@ MachineId TransportRunner::plan_initiator(std::uint64_t token) const {
 }
 
 Cost TransportRunner::canonical_load(MachineId machine) const {
-  std::vector<JobId> jobs = sorted_jobs(machine);
+  return load_of(machine, sorted_jobs(machine));
+}
+
+Cost TransportRunner::load_of(MachineId machine,
+                              const std::vector<JobId>& sorted) const {
   Cost load = 0.0;
-  for (const JobId job : jobs) {
+  for (const JobId job : sorted) {
     load += replica_->instance().cost(machine, job);
   }
   return load;
@@ -127,16 +155,6 @@ std::vector<JobId> TransportRunner::sorted_jobs(MachineId machine) const {
   for (const JobId job : view) jobs.push_back(job);
   std::sort(jobs.begin(), jobs.end());
   return jobs;
-}
-
-void TransportRunner::canonicalize_rows(MachineId a, MachineId b) {
-  std::vector<Cost> loads(replica_->num_machines());
-  for (MachineId i = 0; i < loads.size(); ++i) {
-    loads[i] = replica_->load(i);
-  }
-  loads[a] = canonical_load(a);
-  loads[b] = canonical_load(b);
-  replica_->restore_loads(loads);
 }
 
 void TransportRunner::start() {
@@ -368,11 +386,13 @@ void TransportRunner::resync_peer_row(
     MachineId peer, const std::vector<JobId>& authoritative) {
   // Diff, not rebuild: only mismatched jobs are touched, so the
   // loopback case (initiator and peer share this replica) is a no-op
-  // and never perturbs load accumulators.
-  std::unordered_set<JobId> target(authoritative.begin(),
-                                   authoritative.end());
+  // and never perturbs load accumulators. Both lists are ascending, so
+  // one merge walk finds the stale jobs; they leave first, in ascending
+  // id, and the missing ones arrive after, in ascending id.
+  auto want = authoritative.begin();
   for (const JobId job : sorted_jobs(peer)) {
-    if (target.find(job) == target.end()) replica_->unassign(job);
+    while (want != authoritative.end() && *want < job) ++want;
+    if (want == authoritative.end() || *want != job) replica_->unassign(job);
   }
   for (const JobId job : authoritative) {
     if (replica_->machine_of(job) == peer) continue;
@@ -501,24 +521,40 @@ void TransportRunner::handle_accept(const net::Frame& frame) {
   }
   const MachineId initiator = active_initiator_;
   const MachineId peer = active_peer_;
-  resync_peer_row(peer, net::decode_jobs(frame.payload));
-  canonicalize_rows(initiator, peer);
-
-  std::vector<JobId> before_initiator = sorted_jobs(initiator);
-  std::vector<JobId> before_peer = sorted_jobs(peer);
+  std::vector<JobId> before_peer;
+  try {
+    before_peer = net::decode_jobs(frame.payload);
+  } catch (const net::FrameError&) {
+    drop_bad_payload();
+    return;
+  }
+  if (!is_job_list(before_peer, replica_->num_jobs())) {
+    drop_bad_payload();
+    return;
+  }
+  // After the resync the peer's row is exactly the decoded list, so the
+  // initiator's row is the only one left to sort. Only the two pair loads
+  // are recomputed canonically (ascending job id), so the kernel never
+  // sees accumulation-order ULP drift.
+  resync_peer_row(peer, before_peer);
+  const std::vector<JobId> before_initiator = sorted_jobs(initiator);
+  replica_->restore_load(initiator, load_of(initiator, before_initiator));
+  replica_->restore_load(peer, load_of(peer, before_peer));
   const bool changed =
       options_.kernel->balance(*replica_, initiator, peer);
 
+  // The kernel only swaps jobs within the pair, so the jobs that changed
+  // sides are read off the ascending "before" rows, ascending already.
   net::TransferMoves moves;
   if (changed) {
-    const std::vector<JobId> after_initiator = sorted_jobs(initiator);
-    const std::vector<JobId> after_peer = sorted_jobs(peer);
-    std::set_difference(after_initiator.begin(), after_initiator.end(),
-                        before_initiator.begin(), before_initiator.end(),
-                        std::back_inserter(moves.to_initiator));
-    std::set_difference(after_peer.begin(), after_peer.end(),
-                        before_peer.begin(), before_peer.end(),
-                        std::back_inserter(moves.to_peer));
+    for (const JobId job : before_peer) {
+      if (replica_->machine_of(job) == initiator) {
+        moves.to_initiator.push_back(job);
+      }
+    }
+    for (const JobId job : before_initiator) {
+      if (replica_->machine_of(job) == peer) moves.to_peer.push_back(job);
+    }
   }
   if (moves.total() == 0) {
     // Nothing moved: no TRANSFER round trip needed, the session is done.
@@ -586,7 +622,17 @@ void TransportRunner::handle_transfer(const net::Frame& frame) {
   if (!is_local(frame.from)) {
     // A loopback session's moves were already applied by the kernel on
     // this very replica; only apply when the initiator is remote.
-    const net::TransferMoves moves = net::decode_moves(frame.payload);
+    net::TransferMoves moves;
+    try {
+      moves = net::decode_moves(frame.payload);
+    } catch (const net::FrameError&) {
+      drop_bad_payload();
+      return;
+    }
+    if (!is_transfer_for(frame, moves)) {
+      drop_bad_payload();
+      return;
+    }
     for (const JobId job : moves.to_initiator) {
       replica_->move(job, frame.from);
     }
@@ -605,6 +651,29 @@ void TransportRunner::handle_transfer(const net::Frame& frame) {
   ack.to = frame.from;
   ack.token = token;
   send_frame(ack);
+}
+
+bool TransportRunner::is_transfer_for(const net::Frame& frame,
+                                      const net::TransferMoves& moves) const {
+  const std::size_t num_jobs = replica_->num_jobs();
+  if (frame.from >= replica_->num_machines() ||
+      !is_job_list(moves.to_initiator, num_jobs) ||
+      !is_job_list(moves.to_peer, num_jobs) ||
+      !disjoint(moves.to_initiator, moves.to_peer)) {
+    return false;
+  }
+  // Jobs leaving the receiver come from its own authoritative row.
+  return std::all_of(moves.to_initiator.begin(), moves.to_initiator.end(),
+                     [&](JobId job) {
+                       return replica_->machine_of(job) == frame.to;
+                     });
+}
+
+void TransportRunner::drop_bad_payload() {
+  // The sender's retry timer resends the frame; a well-formed copy still
+  // completes the session.
+  ++counters_.bad_payloads;
+  if (c_bad_payloads_) c_bad_payloads_->add();
 }
 
 void TransportRunner::handle_done(const net::Frame& frame) {
@@ -708,7 +777,7 @@ void TransportRunner::adopt(const std::vector<JobId>& jobs,
       replica_->move(job, onto);
     }
   }
-  canonicalize_rows(onto, onto);
+  replica_->restore_load(onto, canonical_load(onto));
 }
 
 void TransportRunner::inject_token(std::uint64_t token) {

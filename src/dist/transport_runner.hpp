@@ -21,12 +21,26 @@
 //
 // Replicas: every runner holds a full Schedule replica built from the
 // same (instance, initial assignment); only its local machines' rows are
-// authoritative. An ACCEPT carries the peer's authoritative job list and
-// resyncs the initiator's replica of that one row before the kernel runs;
-// the kernel's moves ship back in the TRANSFER. Before each kernel call
-// the two rows' load accumulators are recomputed canonically (ascending
-// job id), so kernel decisions never see the accumulation-order ULP drift
-// PR 5 documented.
+// authoritative. An ACCEPT carries the peer's authoritative job list,
+// sorted by the responder, and the initiator resyncs its replica of that
+// one row with an ordered merge diff against its own sorted copy of it:
+// stale jobs leave in ascending id, then missing jobs arrive in ascending
+// id. The initiator then sorts its own row once, and the two pair loads
+// (and only those) are overwritten with canonical sums in ascending job
+// id over those two sorted rows, so kernel decisions never see
+// accumulation-order ULP drift. The kernel's moves are read off the same
+// two "before" rows and ship back in the TRANSFER. Per session that is
+// three sorts of ~jobs/machines ids (the responder's row, the
+// initiator's replica of it, the initiator's row) and no O(machines)
+// work.
+//
+// Payload validation: a decoded ACCEPT or TRANSFER job list must be
+// strictly ascending with every id < num_jobs; the two TRANSFER lists
+// must be disjoint, the sender must be a machine, and before a remote
+// TRANSFER is applied every to_initiator job must sit on the receiving
+// machine. A payload that fails these checks, or fails to decode, is
+// dropped and counted in Counters::bad_payloads (metric
+// dist.transport.bad_payloads); the initiator's retry timer resends.
 
 #include <cstddef>
 #include <cstdint>
@@ -137,6 +151,7 @@ class TransportRunner {
     std::uint64_t duplicates_ignored = 0;  ///< deduped receipts
     std::uint64_t retries = 0;             ///< retransmission timeouts
     std::uint64_t frames_sent = 0;         ///< every frame, retries incl.
+    std::uint64_t bad_payloads = 0;        ///< dropped ACCEPT/TRANSFER
   };
   [[nodiscard]] const Counters& counters() const noexcept {
     return counters_;
@@ -186,10 +201,17 @@ class TransportRunner {
   /// starts the finish broadcast when the plan is exhausted.
   void advance_token(std::uint64_t token);
   void begin_finish_broadcast();
+  /// Makes the replica's row of `peer` equal `authoritative` (ascending).
   void resync_peer_row(MachineId peer,
                        const std::vector<JobId>& authoritative);
-  /// Overwrites a and b's load accumulators with canonical sums.
-  void canonicalize_rows(MachineId a, MachineId b);
+  /// Sum of p(machine, j) over `sorted` in order: canonical_load() when
+  /// `sorted` is the machine's row in ascending id.
+  [[nodiscard]] Cost load_of(MachineId machine,
+                             const std::vector<JobId>& sorted) const;
+  /// The payload validation rule for a remote TRANSFER (see above).
+  [[nodiscard]] bool is_transfer_for(const net::Frame& frame,
+                                     const net::TransferMoves& moves) const;
+  void drop_bad_payload();
   void arm_retry();
   void on_retry(std::uint64_t generation);
   /// Stamps causal metadata (trace id + Lamport clock) onto a copy and
@@ -244,6 +266,7 @@ class TransportRunner {
   obs::Counter* c_retries_ = nullptr;
   obs::Counter* c_duplicates_ = nullptr;
   obs::Counter* c_frames_sent_ = nullptr;
+  obs::Counter* c_bad_payloads_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
 

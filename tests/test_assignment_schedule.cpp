@@ -213,7 +213,10 @@ Cost reference_makespan(const Schedule& s) {
 
 /// One random mutation. Cases 3-5 take a job off the machine holding the
 /// max, so the holder loses load; case 6 overwrites every accumulator
-/// through restore_loads() with the holder's load halved.
+/// through restore_loads() with the holder's load halved; cases 7 and 8
+/// overwrite one accumulator through restore_load(): the holder's, halved
+/// (the cached Cmax holder drops), or a random machine's, scaled by a
+/// factor in [0.5, 2) (it may take over the max or lose it).
 void random_mutation(Schedule& s, stats::Rng& rng) {
   const Instance& inst = s.instance();
   const auto j = static_cast<JobId>(rng.below(inst.num_jobs()));
@@ -239,6 +242,14 @@ void random_mutation(Schedule& s, stats::Rng& rng) {
       s.restore_loads(loads);
       break;
     }
+    case 7: {
+      const MachineId holder = s.argmax_load();
+      s.restore_load(holder, s.load(holder) * 0.5);
+      break;
+    }
+    case 8:
+      s.restore_load(to, s.load(to) * rng.uniform(0.5, 2.0));
+      break;
     default:
       s.move(j, to);  // assigns when j is unassigned
       break;
