@@ -844,88 +844,4 @@ void check_open_response_sanity(const dist::OpenRunReport& result,
   }
 }
 
-void check_open_closed_equivalence(const Instance& instance,
-                                   const Assignment& initial,
-                                   std::uint64_t salt, Report& report) {
-  if (instance.num_machines() < 2) return;
-  const pairwise::PairKernel& kernel =
-      pairwise::kernel_registry().get("basic-greedy");
-  const dist::UniformPeerSelector selector;
-  const std::size_t budget = 12 * instance.num_machines();
-  const dist::OpenSystemEngine open_engine(kernel, selector);
-
-  // Sequential leg, null plan.
-  dist::EngineOptions seq_options;
-  seq_options.max_exchanges = budget;
-  seq_options.record_trace = true;
-  Schedule reference(instance, initial);
-  stats::Rng reference_rng(salt);
-  const dist::ExchangeEngine inner(kernel, selector);
-  const dist::RunResult expected =
-      inner.run(reference, seq_options, reference_rng);
-
-  dist::OpenSystemOptions open_options;
-  open_options.closed_max_exchanges = budget;
-  open_options.record_trace = true;
-  Schedule delegated(instance, initial);
-  const dist::OpenRunReport actual =
-      open_engine.run(delegated, open_options, salt);
-
-  const auto base_json = [](const dist::RunReport& run) {
-    return run.to_json().dump();
-  };
-  bool seq_trace_same =
-      actual.makespan_trace == expected.makespan_trace &&
-      actual.exchange_trace.size() == expected.exchange_trace.size();
-  for (std::size_t x = 0; seq_trace_same && x < actual.exchange_trace.size();
-       ++x) {
-    const dist::ExchangeTracePoint& a = actual.exchange_trace[x];
-    const dist::ExchangeTracePoint& b = expected.exchange_trace[x];
-    seq_trace_same = a.makespan == b.makespan && a.changed == b.changed &&
-                     a.migrations == b.migrations;
-  }
-  if (delegated.fingerprint() != reference.fingerprint() ||
-      base_json(actual) != base_json(expected) || !seq_trace_same) {
-    report.fail("open.closed_equivalence_seq",
-                "closed-mode delegation diverged from ExchangeEngine under "
-                "the same seed");
-  }
-
-  // Parallel leg, *trivial* (non-null) plan: the other half of the
-  // delegation predicate.
-  dist::ParallelEngineOptions par_options;
-  par_options.max_exchanges = budget;
-  par_options.record_trace = true;
-  Schedule par_reference(instance, initial);
-  const dist::ParallelExchangeEngine par_inner(kernel, selector);
-  const dist::ParallelRunResult par_expected =
-      par_inner.run(par_reference, par_options, salt);
-
-  const dist::ArrivalPlan trivial_plan;
-  dist::OpenSystemOptions par_open_options;
-  par_open_options.arrivals = &trivial_plan;
-  par_open_options.parallel_repair = true;
-  par_open_options.closed_max_exchanges = budget;
-  par_open_options.record_trace = true;
-  Schedule par_delegated(instance, initial);
-  const dist::OpenRunReport par_actual =
-      open_engine.run(par_delegated, par_open_options, salt);
-
-  bool par_trace_same =
-      par_actual.epoch_trace.size() == par_expected.epoch_trace.size();
-  for (std::size_t x = 0;
-       par_trace_same && x < par_actual.epoch_trace.size(); ++x) {
-    const dist::EpochTracePoint& a = par_actual.epoch_trace[x];
-    const dist::EpochTracePoint& b = par_expected.epoch_trace[x];
-    par_trace_same = a.makespan == b.makespan && a.sessions == b.sessions &&
-                     a.migrations == b.migrations;
-  }
-  if (par_delegated.fingerprint() != par_reference.fingerprint() ||
-      base_json(par_actual) != base_json(par_expected) || !par_trace_same) {
-    report.fail("open.closed_equivalence_parallel",
-                "closed-mode delegation diverged from "
-                "ParallelExchangeEngine under the same seed");
-  }
-}
-
 }  // namespace dlb::check

@@ -175,14 +175,6 @@ void check_open_conservation(const dist::OpenRunReport& result,
 void check_open_response_sanity(const dist::OpenRunReport& result,
                                 Report& report);
 
-/// Closed-system equivalence: with a null *or* trivial ArrivalPlan the
-/// OpenSystemEngine must delegate wholesale — schedule fingerprint, base
-/// RunReport JSON and trace bytes identical to ExchangeEngine (sequential)
-/// and ParallelExchangeEngine (parallel) under the same seed.
-void check_open_closed_equivalence(const Instance& instance,
-                                   const Assignment& initial,
-                                   std::uint64_t salt, Report& report);
-
 // ----- stochastic cost-model oracles (core/cost_model, core/risk) -----
 
 /// Zero-variance equivalence: attach an all-degenerate cost model (the

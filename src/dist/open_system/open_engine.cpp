@@ -98,9 +98,6 @@ stats::Json OpenRunReport::to_json() const {
 
 void OpenRunReport::print(std::ostream& out) const {
   RunReport::print(out);
-  // Closed-mode delegations leave every open field zero; keep their output
-  // byte-identical to the inner engines' classic block.
-  if (jobs_submitted == 0 && events == 0) return;
   out << "jobs submitted  : " << jobs_submitted << "\n"
       << "jobs completed  : " << jobs_completed << "\n"
       << "repair bursts   : " << repair_bursts << "\n"
@@ -124,48 +121,11 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   const std::size_t m = instance.num_machines();
   const std::size_t n = instance.num_jobs();
 
-  // ----- closed-mode delegation -----
   if (options.arrivals == nullptr || options.arrivals->trivial()) {
-    if (options.resume != nullptr || options.checkpoint_out != nullptr ||
-        options.checkpoint_every_events != 0 ||
-        options.halt_after_events.has_value()) {
-      reject("arrivals",
-             "open checkpoints need a non-trivial arrival plan (closed-mode "
-             "delegation uses the inner engines' own checkpoint path)");
-    }
-    OpenRunReport report;
-    if (options.parallel_repair) {
-      ParallelEngineOptions inner;
-      inner.max_exchanges = options.closed_max_exchanges;
-      inner.sessions_per_epoch = options.sessions_per_epoch;
-      inner.stop_threshold = options.stop_threshold;
-      inner.stability_check_interval = options.stability_check_interval;
-      inner.record_trace = options.record_trace;
-      inner.pool = options.pool;
-      inner.obs = options.obs;
-      ParallelRunResult result =
-          ParallelExchangeEngine(*kernel_, *selector_)
-              .run(schedule, inner, seed);
-      static_cast<RunReport&>(report) = result;
-      report.epoch_trace = std::move(result.epoch_trace);
-    } else {
-      EngineOptions inner;
-      inner.max_exchanges = options.closed_max_exchanges;
-      inner.record_trace = options.record_trace;
-      inner.stop_threshold = options.stop_threshold;
-      inner.stability_check_interval = options.stability_check_interval;
-      inner.obs = options.obs;
-      stats::Rng rng(seed);
-      RunResult result =
-          ExchangeEngine(*kernel_, *selector_).run(schedule, inner, rng);
-      static_cast<RunReport&>(report) = result;
-      report.makespan_trace = std::move(result.makespan_trace);
-      report.exchange_trace = std::move(result.exchange_trace);
-    }
-    return report;
+    reject("arrivals",
+           "needs a non-trivial arrival plan (closed runs use "
+           "ExchangeEngine or ParallelExchangeEngine directly)");
   }
-
-  // ----- open mode -----
   const ArrivalPlan& plan = *options.arrivals;
   plan.validate();
   const std::size_t total =
@@ -296,7 +256,6 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     if (options.parallel_repair) {
       ParallelEngineOptions inner;
       inner.max_exchanges = options.repair_budget;
-      inner.sessions_per_epoch = options.sessions_per_epoch;
       inner.pool = options.pool;
       // One derived seed per burst: pure in the burst index, so a resumed
       // run replays the exact burst the uninterrupted run executed.

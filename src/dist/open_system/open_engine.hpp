@@ -22,10 +22,9 @@
 // so the result — report JSON, metrics, trace — is bitwise identical at
 // any repair thread count and across any halt/resume split.
 //
-// Closed mode: with a null or trivial ArrivalPlan the engine delegates
-// wholesale to ExchangeEngine / ParallelExchangeEngine on the pre-loaded
-// schedule, reproducing their fingerprint, report and trace bytes exactly
-// (the check:: closed-equivalence oracle pins this).
+// A closed run (no arrivals) is not this engine's job: run ExchangeEngine
+// or ParallelExchangeEngine on the pre-loaded schedule instead. A null or
+// trivial ArrivalPlan is rejected.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,8 +47,7 @@
 namespace dlb::dist {
 
 struct OpenSystemOptions {
-  /// The arrival process (must outlive the run). Null or trivial selects
-  /// closed-mode delegation on the caller's pre-loaded schedule.
+  /// The arrival process (must outlive the run); must be non-trivial.
   const ArrivalPlan* arrivals = nullptr;
   /// Jobs to admit from the instance's pool; 0 = all of them. Must not
   /// exceed the instance's job count.
@@ -67,29 +65,21 @@ struct OpenSystemOptions {
   bool parallel_repair = false;
   /// Pool for parallel bursts; null executes batches inline.
   parallel::ThreadPool* pool = nullptr;
-  /// Parallel bursts: disjoint sessions per epoch (0 = num_machines / 2).
-  std::size_t sessions_per_epoch = 0;
 
   /// Draw realized service times through the instance's cost model (one
   /// pure uniform per job); false bills the predicted cost exactly.
   bool realize_service = false;
 
-  /// Record one makespan-trace entry per repair burst (open mode) or the
-  /// inner engine's full trace (closed mode).
+  /// Record one makespan-trace entry per repair burst.
   bool record_trace = false;
-  /// Optional observability sinks (must outlive the run). Open mode:
-  /// counters open.arrivals / .completions / .repair_bursts /
-  /// .repair_exchanges / .repair_migrations / .events, histograms
-  /// open.response_time / open.queue_len, tracer REPAIR instants on the
-  /// virtual clock, one flight sample per burst.
+  /// Optional observability sinks (must outlive the run). Counters
+  /// open.arrivals / .completions / .repair_bursts / .repair_exchanges /
+  /// .repair_migrations / .events, histograms open.response_time /
+  /// open.queue_len, tracer REPAIR instants on the virtual clock, one
+  /// flight sample per burst.
   const obs::Context* obs = nullptr;
 
-  // ----- closed-mode passthrough (ignored when arrivals are active) -----
-  std::size_t closed_max_exchanges = 100'000;
-  std::optional<Cost> stop_threshold;
-  std::optional<std::size_t> stability_check_interval;
-
-  // ----- open-mode checkpoint / halt / resume -----
+  // ----- checkpoint / halt / resume -----
   /// When nonzero: snapshot into *checkpoint_out every this-many events.
   std::uint64_t checkpoint_every_events = 0;
   OpenCheckpoint* checkpoint_out = nullptr;
@@ -102,10 +92,10 @@ struct OpenSystemOptions {
   const OpenCheckpoint* resume = nullptr;
 };
 
-/// Shared fields live on the RunReport base (open mode: exchanges /
-/// migrations are the repair totals, converged means fully drained). The
-/// open-system story — response time and queue length, not Cmax — lives in
-/// the appended fields; all zero after a closed-mode delegation.
+/// Shared fields live on the RunReport base (exchanges / migrations are the
+/// repair totals, converged means fully drained). The open-system story —
+/// response time and queue length, not Cmax — lives in the appended
+/// fields.
 struct OpenRunReport : RunReport {
   std::uint64_t jobs_submitted = 0;
   std::uint64_t jobs_completed = 0;
@@ -132,32 +122,26 @@ struct OpenRunReport : RunReport {
   /// Stopped at halt_after_events, not by draining.
   bool halted = false;
 
-  /// Open mode: Cmax of the waiting schedule after each repair burst.
-  /// Closed mode: the sequential engine's per-exchange trace, passed
-  /// through unchanged.
+  /// Cmax of the waiting schedule after each repair burst.
   std::vector<Cost> makespan_trace;
-  std::vector<ExchangeTracePoint> exchange_trace;  ///< Closed seq mode.
-  std::vector<EpochTracePoint> epoch_trace;        ///< Closed parallel mode.
 
   /// Base schema with the open_* keys appended (stable order; extend only
   /// by appending).
   [[nodiscard]] stats::Json to_json() const;
-  /// Base block plus the open-system lines (omitted entirely for a
-  /// closed-mode report, keeping the classic output byte-identical).
+  /// Base block plus the open-system lines.
   void print(std::ostream& out) const;
 };
 
 class OpenSystemEngine {
  public:
-  /// Kernel and selector drive the repair bursts (and the closed-mode
-  /// delegation); both must outlive the engine.
+  /// Kernel and selector drive the repair bursts; both must outlive the
+  /// engine.
   OpenSystemEngine(const pairwise::PairKernel& kernel,
                    const PeerSelector& selector)
       : kernel_(&kernel), selector_(&selector) {}
 
-  /// Runs on `schedule` in place. Open mode requires an empty schedule
-  /// (every job unassigned) unless resuming; closed mode requires the
-  /// caller's pre-loaded schedule, exactly like the inner engines.
+  /// Runs on `schedule` in place. Requires an empty schedule (every job
+  /// unassigned) unless resuming.
   OpenRunReport run(Schedule& schedule, const OpenSystemOptions& options,
                     std::uint64_t seed) const;
 

@@ -176,20 +176,6 @@ TEST(ParallelExchangeEngine, EpochTraceEndsAtFinalMakespan) {
   EXPECT_EQ(sessions, result.exchanges);
 }
 
-TEST(ParallelExchangeEngine, SessionsPerEpochBoundsBatches) {
-  const Instance inst = gen::identical_uniform(10, 100, 1.0, 10.0, 20);
-  Schedule s(inst, Assignment::all_on(100, 0));
-  ParallelEngineOptions options = capped(40);
-  options.sessions_per_epoch = 2;
-  options.record_trace = true;
-  const ParallelRunResult result =
-      ParallelExchangeEngine(greedy(), uniform()).run(s, options, 21);
-  for (const EpochTracePoint& point : result.epoch_trace) {
-    EXPECT_LE(point.sessions, 2u);
-  }
-  EXPECT_GE(result.epochs, 20u);
-}
-
 TEST(ParallelExchangeEngine, RejectsDegenerateInputs) {
   const Instance one = gen::identical_uniform(1, 4, 1.0, 2.0, 22);
   Schedule s(one, Assignment::all_on(4, 0));
