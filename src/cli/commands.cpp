@@ -440,17 +440,19 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
     return 0;
   };
 
+  // One options block serves both engines; the parallel one adds a pool.
+  dist::ParallelEngineOptions options;
+  options.max_exchanges = instance.num_machines() * per_machine;
+  options.record_trace = !trace_path.empty();
+  if (obs_files.enabled()) options.obs = &obs_files.context;
+  if (churn_plan.has_value()) options.churn = &*churn_plan;
+  if (resume_from.has_value()) options.resume = &*resume_from;
+  if (checkpoint_every != 0) {
+    options.checkpoint_every = checkpoint_every;
+    options.checkpoint_out = &snapshot;
+  }
+
   if (engine_kind == "parallel") {
-    dist::ParallelEngineOptions options;
-    options.max_exchanges = instance.num_machines() * per_machine;
-    options.record_trace = !trace_path.empty();
-    if (obs_files.enabled()) options.obs = &obs_files.context;
-    if (churn_plan.has_value()) options.churn = &*churn_plan;
-    if (resume_from.has_value()) options.resume = &*resume_from;
-    if (checkpoint_every != 0) {
-      options.checkpoint_every = checkpoint_every;
-      options.checkpoint_out = &snapshot;
-    }
     parallel::ThreadPool pool(threads);
     options.pool = &pool;
     const dist::ParallelExchangeEngine engine(kernel, selector);
@@ -477,16 +479,6 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
     return obs_files.write(out, err);
   }
 
-  dist::EngineOptions options;
-  options.max_exchanges = instance.num_machines() * per_machine;
-  options.record_trace = !trace_path.empty();
-  if (obs_files.enabled()) options.obs = &obs_files.context;
-  if (churn_plan.has_value()) options.churn = &*churn_plan;
-  if (resume_from.has_value()) options.resume = &*resume_from;
-  if (checkpoint_every != 0) {
-    options.checkpoint_every = checkpoint_every;
-    options.checkpoint_out = &snapshot;
-  }
   stats::Rng rng(seed + 1);
   const dist::ExchangeEngine engine(kernel, selector);
   const dist::RunResult result = engine.run(schedule, options, rng);

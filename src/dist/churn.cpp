@@ -1,7 +1,6 @@
 #include "dist/churn.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -9,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "dist/text_codec.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb::dist {
@@ -17,10 +17,6 @@ namespace {
 
 [[noreturn]] void invalid(const std::string& field, const std::string& why) {
   throw std::invalid_argument("ChurnPlan: invalid " + field + ": " + why);
-}
-
-[[noreturn]] void parse_error(const std::string& why) {
-  throw std::runtime_error("ChurnPlan::load: " + why);
 }
 
 std::string event_field(std::size_t index, const char* member) {
@@ -194,53 +190,34 @@ void ChurnPlan::save(std::ostream& out) const {
 }
 
 ChurnPlan ChurnPlan::load(std::istream& in) {
-  std::string magic;
-  std::string version;
-  if (!(in >> magic >> version) || magic != "dlb-churn-plan" ||
-      version != "v1") {
-    parse_error("expected header \"dlb-churn-plan v1\"");
-  }
+  codec::TextReader reader(in, "ChurnPlan");
+  reader.header("dlb-churn-plan");
   ChurnPlan plan;
-  std::string key;
-  if (!(in >> key >> plan.seed) || key != "seed") {
-    parse_error("expected \"seed <value>\"");
-  }
-  if (!(in >> key >> plan.redispatch_per_epoch) ||
-      key != "redispatch_per_epoch") {
-    parse_error("expected \"redispatch_per_epoch <value>\"");
-  }
-  std::size_t count = 0;
-  if (!(in >> key >> count) || key != "events") {
-    parse_error("expected \"events <count>\"");
-  }
-  plan.events.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    ChurnEvent event;
-    std::string kind;
-    if (!(in >> event.epoch >> kind >> event.machine)) {
-      parse_error("truncated event list (expected " + std::to_string(count) +
-                  " events, got " + std::to_string(k) + ")");
-    }
-    event.kind = churn_kind_by_name(kind);
-    plan.events.push_back(event);
-  }
+  plan.seed = reader.value<std::uint64_t>("seed");
+  plan.redispatch_per_epoch =
+      reader.value<std::size_t>("redispatch_per_epoch");
+  plan.events = reader.row<ChurnEvent>(
+      reader.value<std::size_t>("events"), [&] {
+        ChurnEvent event;
+        event.epoch = reader.next<std::uint64_t>("event list");
+        const auto kind = reader.next<std::string>("event list");
+        try {
+          event.kind = churn_kind_by_name(kind);
+        } catch (const std::invalid_argument& e) {
+          reader.fail(e.what());
+        }
+        event.machine = reader.next<MachineId>("event list");
+        return event;
+      });
   return plan;
 }
 
 void ChurnPlan::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("ChurnPlan::save_file: cannot open " + path);
-  }
-  save(out);
+  codec::save_file(*this, path, "ChurnPlan");
 }
 
 ChurnPlan ChurnPlan::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("ChurnPlan::load_file: cannot open " + path);
-  }
-  return load(in);
+  return codec::load_file<ChurnPlan>(path, "ChurnPlan");
 }
 
 ChurnRuntime::ChurnRuntime(const ChurnPlan* plan, std::size_t num_machines)

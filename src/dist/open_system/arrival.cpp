@@ -1,9 +1,7 @@
 #include "dist/open_system/arrival.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -11,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dist/text_codec.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb::dist {
@@ -26,39 +25,6 @@ namespace {
   std::ostringstream detail;
   detail << why << ", got " << got;
   invalid(field, detail.str());
-}
-
-[[noreturn]] void parse_error(const std::string& why) {
-  throw std::runtime_error("ArrivalPlan::load: " + why);
-}
-
-/// Doubles travel as their bit patterns: formatted decimal round-trips are
-/// not guaranteed to be exact, bit patterns are.
-std::uint64_t bits_of(double v) noexcept {
-  return std::bit_cast<std::uint64_t>(v);
-}
-double double_of(std::uint64_t bits) noexcept {
-  return std::bit_cast<double>(bits);
-}
-
-void expect_key(std::istream& in, const char* key) {
-  std::string token;
-  if (!(in >> token) || token != key) {
-    parse_error(std::string("expected \"") + key + "\" (got \"" + token +
-                "\")");
-  }
-}
-
-template <typename T>
-T read_value(std::istream& in, const char* key) {
-  expect_key(in, key);
-  T value{};
-  if (!(in >> value)) parse_error(std::string("bad value for ") + key);
-  return value;
-}
-
-double read_double(std::istream& in, const char* key) {
-  return double_of(read_value<std::uint64_t>(in, key));
 }
 
 bool positive_finite(double v) noexcept {
@@ -247,6 +213,7 @@ ArrivalPlan ArrivalPlan::diurnal(std::vector<double> trace,
 }
 
 void ArrivalPlan::save(std::ostream& out) const {
+  using codec::bits_of;
   out << "dlb-arrival-plan v1\n";
   out << "kind " << arrival_kind_name(kind) << "\n";
   out << "seed " << seed << "\n";
@@ -255,57 +222,35 @@ void ArrivalPlan::save(std::ostream& out) const {
   out << "on_duration " << bits_of(on_duration) << " off_duration "
       << bits_of(off_duration) << "\n";
   out << "bin_duration " << bits_of(bin_duration) << "\n";
-  out << "trace " << trace.size() << "\n";
-  for (std::size_t k = 0; k < trace.size(); ++k) {
-    out << (k == 0 ? "" : " ") << bits_of(trace[k]);
-  }
-  if (!trace.empty()) out << "\n";
+  codec::write_bits_row(out, "trace", trace);
 }
 
 ArrivalPlan ArrivalPlan::load(std::istream& in) {
-  std::string magic;
-  std::string version;
-  if (!(in >> magic >> version) || magic != "dlb-arrival-plan" ||
-      version != "v1") {
-    parse_error("expected header \"dlb-arrival-plan v1\"");
-  }
+  codec::TextReader reader(in, "ArrivalPlan");
+  reader.header("dlb-arrival-plan");
   ArrivalPlan plan;
-  const auto kind = read_value<std::string>(in, "kind");
+  const auto kind = reader.value<std::string>("kind");
   try {
     plan.kind = arrival_kind_by_name(kind);
   } catch (const std::invalid_argument& e) {
-    parse_error(e.what());
+    reader.fail(e.what());
   }
-  plan.seed = read_value<std::uint64_t>(in, "seed");
-  plan.rate = read_double(in, "rate");
-  plan.off_rate = read_double(in, "off_rate");
-  plan.on_duration = read_double(in, "on_duration");
-  plan.off_duration = read_double(in, "off_duration");
-  plan.bin_duration = read_double(in, "bin_duration");
-  const auto trace_size = read_value<std::size_t>(in, "trace");
-  plan.trace.resize(trace_size);
-  for (auto& entry : plan.trace) {
-    std::uint64_t bits = 0;
-    if (!(in >> bits)) parse_error("truncated trace");
-    entry = double_of(bits);
-  }
+  plan.seed = reader.value<std::uint64_t>("seed");
+  plan.rate = reader.bits("rate");
+  plan.off_rate = reader.bits("off_rate");
+  plan.on_duration = reader.bits("on_duration");
+  plan.off_duration = reader.bits("off_duration");
+  plan.bin_duration = reader.bits("bin_duration");
+  plan.trace = reader.bits_row(reader.value<std::size_t>("trace"), "trace");
   return plan;
 }
 
 void ArrivalPlan::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("ArrivalPlan::save_file: cannot open " + path);
-  }
-  save(out);
+  codec::save_file(*this, path, "ArrivalPlan");
 }
 
 ArrivalPlan ArrivalPlan::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("ArrivalPlan::load_file: cannot open " + path);
-  }
-  return load(in);
+  return codec::load_file<ArrivalPlan>(path, "ArrivalPlan");
 }
 
 }  // namespace dlb::dist

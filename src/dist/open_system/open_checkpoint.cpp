@@ -1,94 +1,15 @@
 #include "dist/open_system/open_checkpoint.hpp"
 
-#include <bit>
-#include <fstream>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "core/assignment.hpp"
+#include "dist/text_codec.hpp"
 
 namespace dlb::dist {
-
-namespace {
-
-[[noreturn]] void parse_error(const std::string& why) {
-  throw std::runtime_error("OpenCheckpoint::load: " + why);
-}
-
-std::uint64_t bits_of(double v) noexcept {
-  return std::bit_cast<std::uint64_t>(v);
-}
-double double_of(std::uint64_t bits) noexcept {
-  return std::bit_cast<double>(bits);
-}
-
-void expect_key(std::istream& in, const char* key) {
-  std::string token;
-  if (!(in >> token) || token != key) {
-    parse_error(std::string("expected \"") + key + "\" (got \"" + token +
-                "\")");
-  }
-}
-
-template <typename T>
-T read_value(std::istream& in, const char* key) {
-  expect_key(in, key);
-  T value{};
-  if (!(in >> value)) parse_error(std::string("bad value for ") + key);
-  return value;
-}
-
-/// Writes a space-separated row where `sentinel_value` renders as '-'.
-template <typename T>
-void save_ids(std::ostream& out, const std::vector<T>& ids, T sentinel) {
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    if (k != 0) out << ' ';
-    if (ids[k] == sentinel) {
-      out << '-';
-    } else {
-      out << ids[k];
-    }
-  }
-  if (!ids.empty()) out << "\n";
-}
-
-template <typename T>
-void load_ids(std::istream& in, std::vector<T>& ids, T sentinel,
-              const char* what) {
-  for (auto& id : ids) {
-    std::string token;
-    if (!(in >> token)) parse_error(std::string("truncated ") + what);
-    if (token == "-") {
-      id = sentinel;
-    } else {
-      try {
-        id = static_cast<T>(std::stoul(token));
-      } catch (const std::exception&) {
-        parse_error(std::string("bad ") + what + " entry \"" + token + "\"");
-      }
-    }
-  }
-}
-
-void save_bits(std::ostream& out, const std::vector<double>& values) {
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    out << (k == 0 ? "" : " ") << bits_of(values[k]);
-  }
-  if (!values.empty()) out << "\n";
-}
-
-void load_bits(std::istream& in, std::vector<double>& values,
-               const char* what) {
-  for (auto& value : values) {
-    std::uint64_t bits = 0;
-    if (!(in >> bits)) parse_error(std::string("truncated ") + what);
-    value = double_of(bits);
-  }
-}
-
-}  // namespace
 
 Schedule OpenCheckpoint::make_schedule(const Instance& instance) const {
   if (instance.num_machines() != num_machines ||
@@ -111,7 +32,7 @@ void OpenCheckpoint::save(std::ostream& out) const {
   out << "seed " << seed << "\n";
   out << "machines " << num_machines << " jobs " << num_jobs
       << " total_arrivals " << total_arrivals << "\n";
-  out << "now " << bits_of(now) << " events " << events << " bursts "
+  out << "now " << codec::bits_of(now) << " events " << events << " bursts "
       << bursts << "\n";
   out << "submitted " << submitted << " completed " << completed << "\n";
   out << "repair_exchanges " << repair_exchanges << " repair_migrations "
@@ -120,84 +41,64 @@ void OpenCheckpoint::save(std::ostream& out) const {
       << place_rng[2] << ' ' << place_rng[3] << "\n";
   out << "repair_rng " << repair_rng[0] << ' ' << repair_rng[1] << ' '
       << repair_rng[2] << ' ' << repair_rng[3] << "\n";
-  out << "assignment " << assignment.size() << "\n";
-  save_ids(out, assignment, kUnassigned);
-  out << "loads " << loads.size() << "\n";
-  save_bits(out, loads);
-  out << "in_service " << in_service.size() << "\n";
-  save_ids(out, in_service, kNoJob);
-  out << "busy_until " << busy_until.size() << "\n";
-  save_bits(out, busy_until);
-  out << "completion_time " << completion_time.size() << "\n";
-  save_bits(out, completion_time);
-  out << "queue_seen " << queue_seen.size() << "\n";
-  for (std::size_t k = 0; k < queue_seen.size(); ++k) {
-    out << (k == 0 ? "" : " ") << queue_seen[k];
-  }
-  if (!queue_seen.empty()) out << "\n";
+  codec::write_id_row(out, "assignment", assignment, kUnassigned);
+  codec::write_bits_row(out, "loads", loads);
+  codec::write_id_row(out, "in_service", in_service, kNoJob);
+  codec::write_bits_row(out, "busy_until", busy_until);
+  codec::write_bits_row(out, "completion_time", completion_time);
+  codec::write_row(out, "queue_seen", queue_seen);
 }
 
 OpenCheckpoint OpenCheckpoint::load(std::istream& in) {
-  std::string magic;
-  std::string version;
-  if (!(in >> magic >> version) || magic != "dlb-open-checkpoint" ||
-      version != "v1") {
-    parse_error("expected header \"dlb-open-checkpoint v1\"");
-  }
+  codec::TextReader reader(in, "OpenCheckpoint");
+  reader.header("dlb-open-checkpoint");
   OpenCheckpoint ck;
-  ck.seed = read_value<std::uint64_t>(in, "seed");
-  ck.num_machines = read_value<std::size_t>(in, "machines");
-  ck.num_jobs = read_value<std::size_t>(in, "jobs");
-  ck.total_arrivals = read_value<std::size_t>(in, "total_arrivals");
-  ck.now = double_of(read_value<std::uint64_t>(in, "now"));
-  ck.events = read_value<std::uint64_t>(in, "events");
-  ck.bursts = read_value<std::uint64_t>(in, "bursts");
-  ck.submitted = read_value<std::size_t>(in, "submitted");
-  ck.completed = read_value<std::size_t>(in, "completed");
-  ck.repair_exchanges = read_value<std::uint64_t>(in, "repair_exchanges");
-  ck.repair_migrations = read_value<std::uint64_t>(in, "repair_migrations");
-  ck.repair_changed = read_value<std::uint64_t>(in, "repair_changed");
-  expect_key(in, "place_rng");
+  ck.seed = reader.value<std::uint64_t>("seed");
+  ck.num_machines = reader.value<std::size_t>("machines");
+  ck.num_jobs = reader.value<std::size_t>("jobs");
+  ck.total_arrivals = reader.value<std::size_t>("total_arrivals");
+  ck.now = reader.bits("now");
+  ck.events = reader.value<std::uint64_t>("events");
+  ck.bursts = reader.value<std::uint64_t>("bursts");
+  ck.submitted = reader.value<std::size_t>("submitted");
+  ck.completed = reader.value<std::size_t>("completed");
+  ck.repair_exchanges = reader.value<std::uint64_t>("repair_exchanges");
+  ck.repair_migrations = reader.value<std::uint64_t>("repair_migrations");
+  ck.repair_changed = reader.value<std::uint64_t>("repair_changed");
+  reader.key("place_rng");
   for (auto& word : ck.place_rng) {
-    if (!(in >> word)) parse_error("truncated place_rng state");
+    word = reader.next<std::uint64_t>("place_rng state");
   }
-  expect_key(in, "repair_rng");
+  reader.key("repair_rng");
   for (auto& word : ck.repair_rng) {
-    if (!(in >> word)) parse_error("truncated repair_rng state");
+    word = reader.next<std::uint64_t>("repair_rng state");
   }
-  ck.assignment.resize(read_value<std::size_t>(in, "assignment"));
-  load_ids(in, ck.assignment, kUnassigned, "assignment");
-  ck.loads.resize(read_value<std::size_t>(in, "loads"));
-  load_bits(in, ck.loads, "loads");
-  ck.in_service.resize(read_value<std::size_t>(in, "in_service"));
-  load_ids(in, ck.in_service, kNoJob, "in_service");
-  ck.busy_until.resize(read_value<std::size_t>(in, "busy_until"));
-  load_bits(in, ck.busy_until, "busy_until");
-  ck.completion_time.resize(read_value<std::size_t>(in, "completion_time"));
-  load_bits(in, ck.completion_time, "completion_time");
-  ck.queue_seen.resize(read_value<std::size_t>(in, "queue_seen"));
-  for (auto& seen : ck.queue_seen) {
-    if (!(in >> seen)) parse_error("truncated queue_seen");
+  const std::size_t m = ck.num_machines;
+  const std::size_t n = ck.num_jobs;
+  ck.assignment = reader.id_row<MachineId>(
+      reader.count("assignment", n, true), kUnassigned, m, "assignment");
+  ck.loads = reader.bits_row(reader.count("loads", m, true), "loads");
+  for (const Cost load : ck.loads) {
+    if (!std::isfinite(load)) reader.fail("non-finite entry in loads");
   }
+  ck.in_service = reader.id_row<JobId>(reader.count("in_service", m, true),
+                                       kNoJob, n, "in_service");
+  ck.busy_until =
+      reader.bits_row(reader.count("busy_until", m, true), "busy_until");
+  ck.completion_time = reader.bits_row(
+      reader.count("completion_time", n, true), "completion_time");
+  ck.queue_seen = reader.row<std::uint64_t>(
+      reader.count("queue_seen", n, true),
+      [&] { return reader.next<std::uint64_t>("queue_seen"); });
   return ck;
 }
 
 void OpenCheckpoint::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("OpenCheckpoint::save_file: cannot open " +
-                             path);
-  }
-  save(out);
+  codec::save_file(*this, path, "OpenCheckpoint");
 }
 
 OpenCheckpoint OpenCheckpoint::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("OpenCheckpoint::load_file: cannot open " +
-                             path);
-  }
-  return load(in);
+  return codec::load_file<OpenCheckpoint>(path, "OpenCheckpoint");
 }
 
 }  // namespace dlb::dist

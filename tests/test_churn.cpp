@@ -96,6 +96,19 @@ TEST(ChurnPlan, LoadRejectsBadHeader) {
   EXPECT_THROW((void)ChurnPlan::load(bytes), std::runtime_error);
 }
 
+TEST(ChurnPlan, LoadRejectsHostileEventListsWithoutAllocating) {
+  // The event count has no header bound, so the list grows as it is read:
+  // a huge claimed count fails as truncated instead of allocating it.
+  std::stringstream huge(
+      "dlb-churn-plan v1\nseed 1 redispatch_per_epoch 0\n"
+      "events 999999999999\n1 crash 0\n");
+  EXPECT_THROW((void)ChurnPlan::load(huge), std::runtime_error);
+  std::stringstream unknown(
+      "dlb-churn-plan v1\nseed 1 redispatch_per_epoch 0\n"
+      "events 1\n1 reboot 0\n");
+  EXPECT_THROW((void)ChurnPlan::load(unknown), std::runtime_error);
+}
+
 TEST(ChurnPlan, RandomPlansAlwaysValidate) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     const ChurnPlan plan = ChurnPlan::random(5, 8, 0.4, 0.3, 0.4, seed);
