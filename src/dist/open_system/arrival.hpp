@@ -22,7 +22,7 @@
 namespace dlb::dist {
 
 enum class ArrivalKind : std::uint8_t {
-  kNone,     ///< No arrivals: the open-system engine runs in closed mode.
+  kNone,     ///< No arrivals: OpenSystemEngine rejects this plan.
   kPoisson,  ///< Constant rate.
   kBursty,   ///< Alternating on/off phases with separate rates.
   kDiurnal,  ///< Cyclic per-bin rate trace (a day of user traffic).
@@ -50,8 +50,8 @@ struct ArrivalPlan {
   /// Diurnal: length of one trace bin in virtual time.
   double bin_duration = 1.0;
 
-  /// A plan with no arrivals at all; the engine treats it (or a null
-  /// pointer) as "closed system".
+  /// A plan with no arrivals at all; OpenSystemEngine rejects it (and a
+  /// null pointer).
   [[nodiscard]] bool trivial() const noexcept {
     return kind == ArrivalKind::kNone;
   }
