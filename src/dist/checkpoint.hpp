@@ -89,6 +89,10 @@ struct Checkpoint {
   [[nodiscard]] Schedule make_schedule(const Instance& instance) const;
 
   void save(std::ostream& out) const;
+  /// Throws std::runtime_error naming the field on a malformed file: a
+  /// count past its bound, an id out of range, a non-finite load, or an
+  /// order that is not exactly the live machines (at least one) in some
+  /// order.
   [[nodiscard]] static Checkpoint load(std::istream& in);
   void save_file(const std::string& path) const;
   [[nodiscard]] static Checkpoint load_file(const std::string& path);
