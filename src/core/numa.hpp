@@ -13,6 +13,8 @@
 // (default 1, clamped to [1, 64]); operators set it to the node count of
 // the box. With the default, no threads are spawned at all.
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdlib>
@@ -37,9 +39,23 @@ inline constexpr std::size_t kPageSize = 4096;
   return (bytes + align - 1) / align * align;
 }
 
+/// Slabs of at least this size are mapped straight from the kernel
+/// instead of carved from the malloc heap. A page-aligned heap block is
+/// cut from a larger free chunk; small allocations that later land in the
+/// cut-off fragments pin the block's hole, so a loop that rebuilds a large
+/// schedule can grow the heap by one slab per iteration. A mapping goes
+/// back to the kernel when freed, so repeated rebuilds keep a flat
+/// footprint.
+inline constexpr std::size_t kMapThreshold = 128 * 1024;
+
 struct SlabDeleter {
+  std::size_t bytes = 0;
   void operator()(std::byte* p) const noexcept {
-    ::operator delete[](p, std::align_val_t{kPageSize});
+    if (bytes >= kMapThreshold) {
+      ::munmap(p, bytes);
+    } else {
+      ::operator delete[](p, std::align_val_t{kPageSize});
+    }
   }
 };
 
@@ -49,7 +65,13 @@ using Slab = std::unique_ptr<std::byte[], SlabDeleter>;
 
 [[nodiscard]] inline Slab alloc_slab(std::size_t bytes) {
   if (bytes == 0) return nullptr;
-  return Slab(new (std::align_val_t{kPageSize}) std::byte[bytes]);
+  if (bytes < kMapThreshold) {
+    return Slab(new (std::align_val_t{kPageSize}) std::byte[bytes]);
+  }
+  void* data = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (data == MAP_FAILED) throw std::bad_alloc();
+  return Slab(static_cast<std::byte*>(data), SlabDeleter{bytes});
 }
 
 /// Number of first-touch shards: DLB_NUMA_SHARDS clamped to [1, 64],

@@ -6,9 +6,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/generators.hpp"
+#include "core/numa.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/rng.hpp"
 
@@ -377,6 +379,52 @@ TEST(MakespanCache, ConcurrentDisjointPairMovesThenMakespan) {
     expect_cache_matches(s, "concurrent", round);
   }
   EXPECT_TRUE(s.check_consistency());
+}
+
+
+TEST(ScheduleSlab, SlabsArePageAlignedOnBothSidesOfTheMapThreshold) {
+  for (const std::size_t bytes :
+       {std::size_t{64}, core::numa::kMapThreshold - 1,
+        core::numa::kMapThreshold, 3 * core::numa::kMapThreshold + 5}) {
+    core::numa::Slab slab = core::numa::alloc_slab(bytes);
+    ASSERT_NE(slab, nullptr) << bytes;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(slab.get()) %
+                  core::numa::kPageSize,
+              0u)
+        << bytes;
+    core::numa::first_touch(slab.get(), bytes, 1);
+    slab[bytes - 1] = std::byte{7};
+    core::numa::Slab moved = std::move(slab);
+    EXPECT_EQ(moved[bytes - 1], std::byte{7}) << bytes;
+  }
+  EXPECT_EQ(core::numa::alloc_slab(0), nullptr);
+}
+
+TEST(ScheduleSlab, MappedAndHeapSlabsCopyAndSwap) {
+  // 40000 jobs put the slab well past the map threshold; 40 jobs keep it
+  // on the heap. Copies and swaps hand a slab of one kind to a table that
+  // held the other.
+  const Instance big = gen::uniform_unrelated(50, 40000, 1.0, 100.0, 12);
+  const Instance small = gen::uniform_unrelated(4, 40, 1.0, 100.0, 13);
+  Schedule large(big, gen::random_assignment(big, 14));
+  const std::uint64_t fingerprint = large.fingerprint();
+  const Cost makespan = large.makespan();
+
+  Schedule copied(large);
+  EXPECT_EQ(copied.fingerprint(), fingerprint);
+  EXPECT_TRUE(copied.check_consistency());
+
+  Schedule target(small, gen::random_assignment(small, 15));
+  target = large;
+  EXPECT_EQ(target.fingerprint(), fingerprint);
+  EXPECT_EQ(target.makespan(), makespan);
+
+  Schedule little(small, gen::random_assignment(small, 16));
+  const std::uint64_t little_fingerprint = little.fingerprint();
+  std::swap(target, little);
+  EXPECT_EQ(target.fingerprint(), little_fingerprint);
+  EXPECT_EQ(little.fingerprint(), fingerprint);
+  EXPECT_TRUE(little.check_consistency());
 }
 
 }  // namespace
