@@ -311,12 +311,9 @@ int bench_main(int argc, const char* const* argv) {
     options.with_timing = !args.has("no-timing");
     options.with_obs = !args.has("no-obs");
     options.filter = args.get("filter", "");
-    options.reps = static_cast<std::size_t>(
-        args.get_int("reps", options.smoke ? 1 : 3));
-    options.warmup = static_cast<std::size_t>(
-        args.get_int("warmup", options.smoke ? 0 : 1));
-    options.threads =
-        static_cast<std::size_t>(args.get_int("threads", 0));
+    options.reps = args.get_count("reps", options.smoke ? 1 : 3);
+    options.warmup = args.get_count("warmup", options.smoke ? 0 : 1);
+    options.threads = args.get_count("threads", 0);
     if (args.has("csv")) options.csv_dir = args.require("csv");
     if (args.has("trace-dir")) {
       options.trace_dir = args.require("trace-dir");

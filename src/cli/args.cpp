@@ -1,5 +1,7 @@
 #include "cli/args.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 namespace dlb::cli {
@@ -10,7 +12,35 @@ bool is_option(const std::string& token) {
   return token.size() > 2 && token[0] == '-' && token[1] == '-';
 }
 
+template <typename T>
+std::optional<T> whole_token(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 }  // namespace
+
+std::optional<std::uint64_t> to_count(std::string_view text) {
+  return whole_token<std::uint64_t>(text);
+}
+
+std::optional<double> to_number(std::string_view text) {
+  return whole_token<double>(text);
+}
+
+std::vector<std::string> split_list(std::string_view text, char sep) {
+  std::vector<std::string> items;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t end = std::min(text.find(sep, begin), text.size());
+    items.emplace_back(text.substr(begin, end - begin));
+    if (end == text.size()) return items;
+    begin = end + 1;
+  }
+}
 
 Args Args::parse(const std::vector<std::string>& tokens) {
   Args args;
@@ -59,46 +89,24 @@ std::string Args::require(const std::string& key) const {
   return it->second;
 }
 
-std::int64_t Args::get_int(const std::string& key,
-                           std::int64_t fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  touched_[key] = true;
-  try {
-    std::size_t consumed = 0;
-    const std::int64_t value = std::stoll(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trail");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key +
-                                " expects an integer, got '" + it->second +
-                                "'");
+std::uint64_t Args::get_count(const std::string& key,
+                             std::uint64_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::string text = get(key, "");
+  if (const auto value = to_count(text)) return *value;
+  if (text.starts_with('-') && to_count(text.substr(1))) {
+    throw std::invalid_argument("option --" + key + " must be >= 0");
   }
+  throw std::invalid_argument("option --" + key +
+                              " expects an integer, got '" + text + "'");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  touched_[key] = true;
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trail");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key +
-                                " expects a number, got '" + it->second + "'");
-  }
-}
-
-std::uint64_t Args::get_seed(const std::string& key,
-                             std::uint64_t fallback) const {
-  const std::int64_t value =
-      get_int(key, static_cast<std::int64_t>(fallback));
-  if (value < 0) {
-    throw std::invalid_argument("option --" + key + " must be >= 0");
-  }
-  return static_cast<std::uint64_t>(value);
+  if (!has(key)) return fallback;
+  const std::string text = get(key, "");
+  if (const auto value = to_number(text)) return *value;
+  throw std::invalid_argument("option --" + key + " expects a number, got '" +
+                              text + "'");
 }
 
 std::vector<std::string> Args::unused() const {
@@ -107,6 +115,14 @@ std::vector<std::string> Args::unused() const {
     if (!was_touched) keys.push_back(key);
   }
   return keys;
+}
+
+void Args::reject_unused() const {
+  const std::vector<std::string> keys = unused();
+  if (keys.empty()) return;
+  std::string message = "unknown option(s):";
+  for (const std::string& key : keys) message += " --" + key;
+  throw std::invalid_argument(message);
 }
 
 }  // namespace dlb::cli

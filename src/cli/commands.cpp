@@ -1,7 +1,6 @@
 #include "cli/commands.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -18,6 +17,7 @@
 #include "centralized/lpt.hpp"
 #include "centralized/min_min.hpp"
 #include "cli/args.hpp"
+#include "cli/flags.hpp"
 #include "core/cost_model.hpp"
 #include "core/generators.hpp"
 #include "core/instance_io.hpp"
@@ -30,18 +30,15 @@
 #include "dist/exchange_engine.hpp"
 #include "dist/open_system/open_engine.hpp"
 #include "dist/parallel_exchange_engine.hpp"
-#include "dist/selector_registry.hpp"
 #include "dist/transport_runner.hpp"
 #include "markov/makespan_pdf.hpp"
 #include "net/transport.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_merge.hpp"
-#include "pairwise/kernel_registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/ascii_plot.hpp"
 #include "stats/csv.hpp"
-#include "stats/table.hpp"
 
 namespace dlb::cli {
 
@@ -52,64 +49,44 @@ int usage_error(std::ostream& err, const std::string& message) {
   return 2;
 }
 
-int check_unused(const Args& args, std::ostream& err) {
-  const auto unused = args.unused();
-  if (unused.empty()) return 0;
-  std::string message = "unknown option(s):";
-  for (const auto& key : unused) message += " --" + key;
-  return usage_error(err, message);
-}
-
 // ----- gen -----
 
-int cmd_gen(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_gen(const Args& args, std::ostream& out) {
   const std::string kind = args.get("kind", "two-cluster");
-  const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 768));
+  const std::size_t jobs = args.get_count("jobs", 768);
   const Cost lo = args.get_double("lo", 1.0);
   const Cost hi = args.get_double("hi", 1000.0);
-  const std::uint64_t seed = args.get_seed("seed", 1);
+  const std::uint64_t seed = args.get_count("seed", 1);
   const std::string path = args.require("out");
 
   Instance instance = [&]() -> Instance {
     if (kind == "two-cluster") {
-      const auto m1 = static_cast<std::size_t>(args.get_int("m1", 64));
-      const auto m2 = static_cast<std::size_t>(args.get_int("m2", 32));
-      return gen::two_cluster_uniform(m1, m2, jobs, lo, hi, seed);
+      return gen::two_cluster_uniform(args.get_count("m1", 64),
+                                      args.get_count("m2", 32), jobs, lo, hi,
+                                      seed);
     }
     if (kind == "identical") {
-      const auto m = static_cast<std::size_t>(args.get_int("m", 96));
-      return gen::identical_uniform(m, jobs, lo, hi, seed);
+      return gen::identical_uniform(args.get_count("m", 96), jobs, lo, hi,
+                                    seed);
     }
     if (kind == "unrelated") {
-      const auto m = static_cast<std::size_t>(args.get_int("m", 16));
-      return gen::uniform_unrelated(m, jobs, lo, hi, seed);
+      return gen::uniform_unrelated(args.get_count("m", 16), jobs, lo, hi,
+                                    seed);
     }
     if (kind == "typed") {
-      const auto m = static_cast<std::size_t>(args.get_int("m", 16));
-      const auto types = static_cast<std::size_t>(args.get_int("types", 4));
-      return gen::typed_uniform(m, jobs, types, lo, hi, seed);
+      return gen::typed_uniform(args.get_count("m", 16), jobs,
+                                args.get_count("types", 4), lo, hi, seed);
     }
     if (kind == "multi") {
       // --sizes 16,8,4 -> three clusters.
-      const std::string sizes_text = args.get("sizes", "16,16");
       std::vector<std::size_t> sizes;
-      std::size_t begin = 0;
-      while (begin <= sizes_text.size()) {
-        const std::size_t comma = sizes_text.find(',', begin);
-        const std::string part =
-            sizes_text.substr(begin, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - begin);
-        try {
-          const long value = std::stol(part);
-          if (value <= 0) throw std::invalid_argument("nonpositive");
-          sizes.push_back(static_cast<std::size_t>(value));
-        } catch (const std::exception&) {
+      for (const std::string& part : split_list(args.get("sizes", "16,16"))) {
+        const std::optional<std::uint64_t> size = to_count(part);
+        if (!size || *size == 0) {
           throw std::invalid_argument("--sizes expects a comma-separated "
                                       "list of positive integers");
         }
-        if (comma == std::string::npos) break;
-        begin = comma + 1;
+        sizes.push_back(*size);
       }
       return gen::multi_cluster_uniform(sizes, jobs, lo, hi, seed);
     }
@@ -117,7 +94,7 @@ int cmd_gen(const Args& args, std::ostream& out, std::ostream& err) {
         "unknown --kind '" + kind +
         "' (two-cluster|identical|unrelated|typed|multi)");
   }();
-  if (const int rc = check_unused(args, err)) return rc;
+  args.reject_unused();
 
   // Extension picks the format: `.dlbi` writes the mmap-able binary,
   // anything else the text format.
@@ -130,14 +107,13 @@ int cmd_gen(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- convert -----
 
-int cmd_convert(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::string in_path = args.require("in");
+int cmd_convert(const Args& args, std::ostream& out) {
+  InputFlag input(args);
   const std::string out_path = args.require("out");
   const std::string to = args.get("to", "auto");
-  if (const int rc = check_unused(args, err)) return rc;
+  args.reject_unused();
 
-  const core::InstanceStore store = core::load_instance(in_path);
-  const Instance& instance = store.instance();
+  const Instance& instance = input.load();
   bool binary = false;
   if (to == "auto") {
     core::save_instance_auto(instance, out_path);
@@ -161,11 +137,10 @@ int cmd_convert(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- info -----
 
-int cmd_info(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::string path = args.require("in");
-  if (const int rc = check_unused(args, err)) return rc;
-  const core::InstanceStore store = core::load_instance(path);
-  const Instance& instance = store.instance();
+int cmd_info(const Args& args, std::ostream& out) {
+  InputFlag input(args);
+  args.reject_unused();
+  const Instance& instance = input.load();
   out << "machines      : " << instance.num_machines() << "\n"
       << "groups        : " << instance.num_groups() << "\n"
       << "jobs          : " << instance.num_jobs() << "\n"
@@ -184,12 +159,11 @@ int cmd_info(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- solve -----
 
-int cmd_solve(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::string path = args.require("in");
+int cmd_solve(const Args& args, std::ostream& out) {
+  InputFlag input(args);
   const std::string alg = args.get("alg", "ect");
-  if (const int rc = check_unused(args, err)) return rc;
-  const core::InstanceStore store = core::load_instance(path);
-  const Instance& instance = store.instance();
+  args.reject_unused();
+  const Instance& instance = input.load();
 
   const std::map<std::string, std::function<Schedule()>> algorithms = {
       {"list", [&] { return centralized::list_schedule(instance); }},
@@ -210,7 +184,7 @@ int cmd_solve(const Args& args, std::ostream& out, std::ostream& err) {
   };
   const auto it = algorithms.find(alg);
   if (it == algorithms.end()) {
-    return usage_error(err, "unknown --alg '" + alg + "'");
+    throw std::invalid_argument("unknown --alg '" + alg + "'");
   }
   const Schedule schedule = it->second();
   validate_complete(schedule);
@@ -224,122 +198,47 @@ int cmd_solve(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- balance / simulate shared observability plumbing -----
 
-/// Owns the sinks behind --trace-json / --metrics-json / --flight-json
-/// for one command invocation and writes the requested files afterwards.
+/// Owns the sinks behind the shared obs flags for one command invocation.
 struct ObsFiles {
-  std::string trace_path;
-  std::string metrics_path;
-  std::string flight_path;
+  ObsFlags paths;
   obs::Metrics metrics;
   obs::Tracer tracer;
   obs::FlightRecorder flight;
   obs::Context context;
 
-  ObsFiles(const Args& args, const char* trace_key, const char* metrics_key)
-      : trace_path(args.get(trace_key, "")),
-        metrics_path(args.get(metrics_key, "")),
-        flight_path(args.get("flight-json", "")) {
-    if (!trace_path.empty()) context.tracer = &tracer;
-    if (!flight_path.empty()) context.flight = &flight;
-    if (!metrics_path.empty() || !trace_path.empty() ||
-        !flight_path.empty()) {
-      context.metrics = &metrics;
-    }
+  explicit ObsFiles(const Args& args) : paths(args) {
+    if (!paths.trace.empty()) context.tracer = &tracer;
+    if (!paths.flight.empty()) context.flight = &flight;
+    if (paths.any()) context.metrics = &metrics;
   }
-
-  [[nodiscard]] bool enabled() const noexcept {
-    return context.metrics != nullptr || context.tracer != nullptr ||
-           context.flight != nullptr;
+  /// The context to hand an engine, or null when no sink was requested.
+  [[nodiscard]] const obs::Context* sinks() const noexcept {
+    return paths.any() ? &context : nullptr;
   }
-
-  /// Writes the requested files; returns 0 or an exit code on I/O failure.
-  int write(std::ostream& out, std::ostream& err) const {
-    if (!trace_path.empty()) {
-      std::ofstream file(trace_path);
-      if (!file) {
-        err << "dlbsim: cannot write " << trace_path << "\n";
-        return 1;
-      }
-      file << tracer.to_chrome_json().dump(2) << "\n";
-      out << "trace-json      : " << trace_path << " (" << tracer.size()
-          << " events";
-      if (tracer.dropped() > 0) out << ", " << tracer.dropped() << " dropped";
-      out << ")\n";
-    }
-    if (!metrics_path.empty()) {
-      std::ofstream file(metrics_path);
-      if (!file) {
-        err << "dlbsim: cannot write " << metrics_path << "\n";
-        return 1;
-      }
-      file << metrics.snapshot().dump(2) << "\n";
-      out << "metrics-json    : " << metrics_path << "\n";
-    }
-    if (!flight_path.empty()) {
-      std::ofstream file(flight_path);
-      if (!file) {
-        err << "dlbsim: cannot write " << flight_path << "\n";
-        return 1;
-      }
-      file << flight.to_json().dump(2) << "\n";
-      out << "flight-json     : " << flight_path << " (" << flight.size()
-          << " samples";
-      if (flight.dropped() > 0) out << ", " << flight.dropped() << " dropped";
-      out << ")\n";
-    }
-    return 0;
+  void write(std::ostream& out) const {
+    paths.write(metrics, tracer, flight, out);
   }
 };
 
-/// Third trace-CSV column: per-exchange it is the changed flag, per-epoch
-/// the number of committed sessions.
-std::string row_detail(const dist::ExchangeTracePoint& point) {
-  return point.changed ? "1" : "0";
-}
-std::string row_detail(const dist::EpochTracePoint& point) {
-  return std::to_string(point.sessions);
-}
-
-/// Resolves --alg against the shared kernel registry, keeping the
-/// CLI-specific error shape ("unknown --alg ...") the scripts grep for.
-const pairwise::PairKernel& kernel_by_alg(const std::string& alg) {
-  const pairwise::KernelRegistry& registry = pairwise::kernel_registry();
-  if (!registry.contains(alg)) {
-    throw std::invalid_argument("unknown --alg '" + alg + "' (" +
-                                registry.names_joined() + ")");
-  }
-  return registry.get(alg);
-}
-
-/// Resolves --peer against the shared selector registry.
-const dist::PeerSelector& selector_by_name(const std::string& name) {
-  const dist::SelectorRegistry& registry = dist::selector_registry();
-  if (!registry.contains(name)) {
-    throw std::invalid_argument("unknown --peer '" + name + "' (" +
-                                registry.names_joined() + ")");
-  }
-  return registry.get(name);
-}
-
 // ----- balance -----
 
-int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::string path = args.require("in");
+int cmd_balance(const Args& args, std::ostream& out) {
+  InputFlag input(args);
   const std::string alg = args.get("alg", "dlb2c");
   const std::string peer = args.get("peer", "uniform");
   const std::string engine_kind = args.get("engine", "seq");
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  const std::uint64_t seed = args.get_seed("seed", 1);
-  const auto per_machine = args.get_int("exchanges-per-machine", 10);
+  const std::size_t threads = args.get_count("threads", 0);
+  const std::uint64_t seed = args.get_count("seed", 1);
+  const std::uint64_t per_machine =
+      args.get_count("exchanges-per-machine", 10);
   const std::string trace_path = args.get("trace", "");
   const std::string cost_model_spec = args.get("cost-model", "");
   const std::string churn_path = args.get("churn-plan", "");
-  const auto checkpoint_every =
-      static_cast<std::uint64_t>(args.get_int("checkpoint-every", 0));
+  const std::uint64_t checkpoint_every = args.get_count("checkpoint-every", 0);
   const std::string checkpoint_path = args.get("checkpoint", "");
   const std::string resume_path = args.get("resume", "");
-  ObsFiles obs_files(args, "trace-json", "metrics-json");
-  if (const int rc = check_unused(args, err)) return rc;
+  ObsFiles obs_files(args);
+  args.reject_unused();
   if (engine_kind != "seq" && engine_kind != "parallel") {
     throw std::invalid_argument("unknown --engine '" + engine_kind +
                                 "' (seq|parallel)");
@@ -351,8 +250,7 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
 
   const pairwise::PairKernel& kernel = kernel_by_alg(alg);
   const dist::PeerSelector& selector = selector_by_name(peer);
-  core::InstanceStore store = core::load_instance(path);
-  Instance& instance = store.mutable_instance();
+  Instance& instance = input.load();
   // --cost-model SPEC attaches one size distribution to every job (the
   // instance file's own `costmodel` line, if any, is replaced). The risk
   // kernels (--alg *_q95 / *_effsize) and selectors read it; with a
@@ -390,7 +288,30 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
           : Schedule(instance, gen::random_assignment(instance, seed));
   const Cost lb = makespan_lower_bound(instance);
 
-  const auto describe_elasticity = [&] {
+  // One options block serves both engines; the parallel one adds a pool.
+  dist::ParallelEngineOptions options;
+  options.max_exchanges = instance.num_machines() * per_machine;
+  options.record_trace = !trace_path.empty();
+  options.obs = obs_files.sinks();
+  if (churn_plan.has_value()) options.churn = &*churn_plan;
+  if (resume_from.has_value()) options.resume = &*resume_from;
+  if (checkpoint_every != 0) {
+    options.checkpoint_every = checkpoint_every;
+    options.checkpoint_out = &snapshot;
+  }
+
+  // The one result tail. Only the algorithm suffix, the epochs line and
+  // the trace kind are engine-specific. The trace's first two columns are
+  // the original format; the detail column and `migrations` (cumulative
+  // job moves) are appended so old scripts keep parsing. The parallel
+  // engine only has epoch-granular state, so its trace is per epoch with
+  // the session count in place of `changed`.
+  const auto report = [&](const dist::EngineResult& result,
+                          const std::string& suffix,
+                          const std::string& epochs_line, const char* kind,
+                          const char* detail_column, const auto& trace,
+                          const auto& detail) {
+    out << "algorithm       : " << alg << suffix << "\n";
     if (churn_plan.has_value()) {
       out << "churn plan      : " << churn_path << " ("
           << churn_plan->events.size() << " events)\n";
@@ -399,104 +320,65 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
       out << "resumed from    : " << resume_path << " (epoch "
           << resume_from->epochs << ")\n";
     }
-  };
-  // A snapshot was taken iff the engine filled it (cadence hit at least
-  // one epoch boundary); a default-constructed Checkpoint has no machines.
-  const auto write_snapshot = [&]() -> int {
-    if (checkpoint_path.empty()) return 0;
-    if (snapshot.num_machines == 0) {
-      out << "checkpoint      : not taken (run ended before epoch "
-          << checkpoint_every << ")\n";
-      return 0;
+    result.print(out);
+    out << "effective       : " << result.changed_exchanges << "\n"
+        << epochs_line << "LB              : " << lb << "\n"
+        << "final factor    : " << result.final_makespan / lb << "\n";
+    if (!trace_path.empty()) {
+      write_trace_csv(
+          trace_path, {kind, "makespan", detail_column, "migrations"},
+          trace.size(),
+          [&](std::size_t x) -> std::vector<std::string> {
+            return {stats::CsvWriter::num(x + 1),
+                    stats::CsvWriter::num(trace[x].makespan),
+                    detail(trace[x]),
+                    stats::CsvWriter::num(
+                        static_cast<std::size_t>(trace[x].migrations))};
+          },
+          out);
     }
-    snapshot.save_file(checkpoint_path);
-    out << "checkpoint      : " << checkpoint_path << " (epoch "
-        << snapshot.epochs << ")\n";
+    // A snapshot was taken iff the engine filled it (cadence hit at least
+    // one epoch boundary); a default-constructed Checkpoint has no
+    // machines.
+    if (!checkpoint_path.empty()) {
+      if (snapshot.num_machines == 0) {
+        out << "checkpoint      : not taken (run ended before epoch "
+            << checkpoint_every << ")\n";
+      } else {
+        snapshot.save_file(checkpoint_path);
+        out << "checkpoint      : " << checkpoint_path << " (epoch "
+            << snapshot.epochs << ")\n";
+      }
+    }
+    obs_files.write(out);
     return 0;
   };
-
-  const auto write_trace = [&](const char* kind, const char* detail_col,
-                               const auto& rows) -> int {
-    std::ofstream trace(trace_path);
-    if (!trace) {
-      err << "dlbsim: cannot write " << trace_path << "\n";
-      return 1;
-    }
-    stats::CsvWriter csv(trace);
-    // The first two columns are the original format; the detail column and
-    // `migrations` (cumulative job moves) are appended so old scripts keep
-    // parsing and Figure 4/5-style analyses get the per-row detail. The
-    // parallel engine only has epoch-granular state, so its trace is per
-    // epoch with the session count in place of `changed`.
-    csv.header({kind, "makespan", detail_col, "migrations"});
-    for (std::size_t x = 0; x < rows.size(); ++x) {
-      csv.row({stats::CsvWriter::num(x + 1),
-               stats::CsvWriter::num(rows[x].makespan), row_detail(rows[x]),
-               stats::CsvWriter::num(
-                   static_cast<std::size_t>(rows[x].migrations))});
-    }
-    out << "trace written   : " << trace_path << " (" << rows.size()
-        << " rows)\n";
-    return 0;
-  };
-
-  // One options block serves both engines; the parallel one adds a pool.
-  dist::ParallelEngineOptions options;
-  options.max_exchanges = instance.num_machines() * per_machine;
-  options.record_trace = !trace_path.empty();
-  if (obs_files.enabled()) options.obs = &obs_files.context;
-  if (churn_plan.has_value()) options.churn = &*churn_plan;
-  if (resume_from.has_value()) options.resume = &*resume_from;
-  if (checkpoint_every != 0) {
-    options.checkpoint_every = checkpoint_every;
-    options.checkpoint_out = &snapshot;
-  }
 
   if (engine_kind == "parallel") {
     parallel::ThreadPool pool(threads);
     options.pool = &pool;
-    const dist::ParallelExchangeEngine engine(kernel, selector);
     const dist::ParallelRunResult result =
-        engine.run(schedule, options, seed + 1);
-
-    out << "algorithm       : " << alg << " (parallel, "
-        << pool.num_threads() << " threads)\n";
-    describe_elasticity();
-    result.print(out);
-    out << "effective       : " << result.changed_exchanges << "\n"
-        << "epochs          : " << result.epochs << " ("
-        << result.conflicts << " conflicts, " << result.peer_retries
-        << " peer retries)\n"
-        << "LB              : " << lb << "\n"
-        << "final factor    : " << result.final_makespan / lb << "\n";
-    if (!trace_path.empty()) {
-      if (const int rc =
-              write_trace("epoch", "sessions", result.epoch_trace)) {
-        return rc;
-      }
-    }
-    if (const int rc = write_snapshot()) return rc;
-    return obs_files.write(out, err);
+        dist::ParallelExchangeEngine(kernel, selector)
+            .run(schedule, options, seed + 1);
+    return report(result,
+                  " (parallel, " + std::to_string(pool.num_threads()) +
+                      " threads)",
+                  "epochs          : " + std::to_string(result.epochs) +
+                      " (" + std::to_string(result.conflicts) +
+                      " conflicts, " + std::to_string(result.peer_retries) +
+                      " peer retries)\n",
+                  "epoch", "sessions", result.epoch_trace,
+                  [](const dist::EpochTracePoint& point) {
+                    return std::to_string(point.sessions);
+                  });
   }
-
   stats::Rng rng(seed + 1);
-  const dist::ExchangeEngine engine(kernel, selector);
-  const dist::RunResult result = engine.run(schedule, options, rng);
-
-  out << "algorithm       : " << alg << "\n";
-  describe_elasticity();
-  result.print(out);
-  out << "effective       : " << result.changed_exchanges << "\n"
-      << "LB              : " << lb << "\n"
-      << "final factor    : " << result.final_makespan / lb << "\n";
-  if (!trace_path.empty()) {
-    if (const int rc =
-            write_trace("exchange", "changed", result.exchange_trace)) {
-      return rc;
-    }
-  }
-  if (const int rc = write_snapshot()) return rc;
-  return obs_files.write(out, err);
+  const dist::RunResult result =
+      dist::ExchangeEngine(kernel, selector).run(schedule, options, rng);
+  return report(result, "", "", "exchange", "changed", result.exchange_trace,
+                [](const dist::ExchangeTracePoint& point) {
+                  return std::string(point.changed ? "1" : "0");
+                });
 }
 
 // ----- serve -----
@@ -507,27 +389,15 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
 /// seed, so `serve` runs are reproducible from the command line alone.
 dist::ArrivalPlan arrivals_from_spec(const std::string& spec,
                                      std::uint64_t seed) {
-  const auto parse_doubles = [&](const std::string& text, char sep) {
+  const auto parse_doubles = [&](const std::string& text) {
     std::vector<double> values;
-    std::size_t begin = 0;
-    while (begin <= text.size()) {
-      std::size_t end = text.find(sep, begin);
-      if (end == std::string::npos) end = text.size();
-      const std::string part = text.substr(begin, end - begin);
-      std::size_t consumed = 0;
-      double value = 0.0;
-      try {
-        value = std::stod(part, &consumed);
-      } catch (const std::exception&) {
-        consumed = 0;
-      }
-      if (consumed != part.size() || part.empty()) {
+    for (const std::string& part : split_list(text)) {
+      const std::optional<double> value = to_number(part);
+      if (!value) {
         throw std::invalid_argument("--arrivals: bad number '" + part +
                                     "' in '" + spec + "'");
       }
-      values.push_back(value);
-      if (end == text.size()) break;
-      begin = end + 1;
+      values.push_back(*value);
     }
     return values;
   };
@@ -535,7 +405,7 @@ dist::ArrivalPlan arrivals_from_spec(const std::string& spec,
   const auto colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
   if (colon != std::string::npos && kind == "poisson") {
-    const std::vector<double> v = parse_doubles(spec.substr(colon + 1), ',');
+    const std::vector<double> v = parse_doubles(spec.substr(colon + 1));
     if (v.size() != 1) {
       throw std::invalid_argument("--arrivals: poisson wants one rate, got '" +
                                   spec + "'");
@@ -543,7 +413,7 @@ dist::ArrivalPlan arrivals_from_spec(const std::string& spec,
     return dist::ArrivalPlan::poisson(v[0], seed);
   }
   if (colon != std::string::npos && kind == "bursty") {
-    const std::vector<double> v = parse_doubles(spec.substr(colon + 1), ',');
+    const std::vector<double> v = parse_doubles(spec.substr(colon + 1));
     if (v.size() != 4) {
       throw std::invalid_argument(
           "--arrivals: bursty wants rate,off_rate,on_duration,off_duration, "
@@ -560,8 +430,8 @@ dist::ArrivalPlan arrivals_from_spec(const std::string& spec,
           "--arrivals: diurnal wants R1,R2,...@BIN_DURATION, got '" + spec +
           "'");
     }
-    std::vector<double> trace = parse_doubles(body.substr(0, at), ',');
-    const std::vector<double> bin = parse_doubles(body.substr(at + 1), ',');
+    std::vector<double> trace = parse_doubles(body.substr(0, at));
+    const std::vector<double> bin = parse_doubles(body.substr(at + 1));
     if (bin.size() != 1) {
       throw std::invalid_argument(
           "--arrivals: diurnal wants one bin duration after '@' in '" + spec +
@@ -576,30 +446,27 @@ dist::ArrivalPlan arrivals_from_spec(const std::string& spec,
 /// `dlbsim serve`: the open-system service workload — online arrivals
 /// placed by a submission-time policy, FIFO service per machine, and
 /// background DLB2C-style repair bursts on a budget (docs/open-system.md).
-int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::string path = args.require("in");
+int cmd_serve(const Args& args, std::ostream& out) {
+  InputFlag input(args);
   const std::string arrivals_spec = args.require("arrivals");
   const std::string alg = args.get("alg", "dlb2c");
   const std::string peer = args.get("peer", "uniform");
   const std::string placement_spec = args.get("placement", "random");
-  const std::uint64_t seed = args.get_seed("seed", 1);
-  const auto num_arrivals =
-      static_cast<std::size_t>(args.get_int("num-arrivals", 0));
+  const std::uint64_t seed = args.get_count("seed", 1);
+  const std::size_t num_arrivals = args.get_count("num-arrivals", 0);
   const double repair_every = args.get_double("repair-every", 0.0);
-  const auto repair_budget =
-      static_cast<std::size_t>(args.get_int("repair-budget", 16));
+  const std::size_t repair_budget = args.get_count("repair-budget", 16);
   const std::string repair_engine = args.get("repair-engine", "seq");
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  const std::size_t threads = args.get_count("threads", 0);
   const bool realize_service = args.has("realize-service");
   const std::string trace_path = args.get("trace", "");
-  const auto checkpoint_every = static_cast<std::uint64_t>(
-      args.get_int("checkpoint-every-events", 0));
-  const auto halt_after =
-      static_cast<std::uint64_t>(args.get_int("halt-after-events", 0));
+  const std::uint64_t checkpoint_every =
+      args.get_count("checkpoint-every-events", 0);
+  const std::uint64_t halt_after = args.get_count("halt-after-events", 0);
   const std::string checkpoint_path = args.get("checkpoint", "");
   const std::string resume_path = args.get("resume", "");
-  ObsFiles obs_files(args, "trace-json", "metrics-json");
-  if (const int rc = check_unused(args, err)) return rc;
+  ObsFiles obs_files(args);
+  args.reject_unused();
   if (repair_engine != "seq" && repair_engine != "parallel") {
     throw std::invalid_argument("unknown --repair-engine '" + repair_engine +
                                 "' (seq|parallel)");
@@ -620,8 +487,7 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
       dist::make_placement(placement_spec);
   const pairwise::PairKernel& kernel = kernel_by_alg(alg);
   const dist::PeerSelector& selector = selector_by_name(peer);
-  const core::InstanceStore store = core::load_instance(path);
-  const Instance& instance = store.instance();
+  const Instance& instance = input.load();
   if (realize_service && !instance.has_cost_model()) {
     throw std::invalid_argument(
         "--realize-service needs an instance with a cost model");
@@ -642,7 +508,7 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   options.parallel_repair = repair_engine == "parallel";
   options.realize_service = realize_service;
   options.record_trace = !trace_path.empty();
-  if (obs_files.enabled()) options.obs = &obs_files.context;
+  options.obs = obs_files.sinks();
   if (resume_from.has_value()) options.resume = &*resume_from;
   if (checkpoint_every != 0) {
     options.checkpoint_every_events = checkpoint_every;
@@ -678,19 +544,14 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   }
   result.print(out);
   if (!trace_path.empty()) {
-    std::ofstream trace(trace_path);
-    if (!trace) {
-      err << "dlbsim: cannot write " << trace_path << "\n";
-      return 1;
-    }
-    stats::CsvWriter csv(trace);
-    csv.header({"burst", "makespan"});
-    for (std::size_t x = 0; x < result.makespan_trace.size(); ++x) {
-      csv.row({stats::CsvWriter::num(x + 1),
-               stats::CsvWriter::num(result.makespan_trace[x])});
-    }
-    out << "trace written   : " << trace_path << " ("
-        << result.makespan_trace.size() << " rows)\n";
+    const std::vector<Cost>& trace = result.makespan_trace;
+    write_trace_csv(
+        trace_path, {"burst", "makespan"}, trace.size(),
+        [&](std::size_t x) -> std::vector<std::string> {
+          return {stats::CsvWriter::num(x + 1),
+                  stats::CsvWriter::num(trace[x])};
+        },
+        out);
   }
   if (!checkpoint_path.empty()) {
     if (snapshot.num_machines == 0) {
@@ -701,17 +562,18 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
           << snapshot.events << ")\n";
     }
   }
-  return obs_files.write(out, err);
+  obs_files.write(out);
+  return 0;
 }
 
 // ----- simulate -----
 
-int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::string path = args.require("in");
+int cmd_simulate(const Args& args, std::ostream& out) {
+  InputFlag input(args);
   const std::string alg = args.get("alg", "dlb2c");
-  const std::uint64_t seed = args.get_seed("seed", 1);
+  const std::uint64_t seed = args.get_count("seed", 1);
   const std::string trace_path = args.get("trace", "");
-  ObsFiles obs_files(args, "trace-json", "metrics-json");
+  ObsFiles obs_files(args);
   dist::AsyncOptions options;
   options.duration = args.get_double("duration", 40.0);
   options.message_latency = args.get_double("latency", 0.1);
@@ -719,11 +581,10 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   options.reject_backoff = args.get_double("backoff", 1.0);
   options.seed = seed;
   options.record_trace = !trace_path.empty();
-  if (obs_files.enabled()) options.obs = &obs_files.context;
-  if (const int rc = check_unused(args, err)) return rc;
+  options.obs = obs_files.sinks();
+  args.reject_unused();
 
-  const core::InstanceStore store = core::load_instance(path);
-  const Instance& instance = store.instance();
+  const Instance& instance = input.load();
   Schedule schedule(instance, gen::random_assignment(instance, seed));
 
   const pairwise::PairKernel& kernel = kernel_by_alg(alg);
@@ -743,61 +604,43 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
       << "LB              : " << lb << "\n"
       << "final factor    : " << result.final_makespan / lb << "\n";
   if (!trace_path.empty()) {
-    std::ofstream trace(trace_path);
-    if (!trace) {
-      err << "dlbsim: cannot write " << trace_path << "\n";
-      return 1;
-    }
-    stats::CsvWriter csv(trace);
-    csv.header({"time", "makespan"});
-    for (const dist::AsyncTracePoint& point : result.trace) {
-      csv.row({stats::CsvWriter::num(point.time),
-               stats::CsvWriter::num(point.makespan)});
-    }
-    out << "trace written   : " << trace_path << " (" << result.trace.size()
-        << " rows)\n";
+    write_trace_csv(
+        trace_path, {"time", "makespan"}, result.trace.size(),
+        [&](std::size_t x) -> std::vector<std::string> {
+          return {stats::CsvWriter::num(result.trace[x].time),
+                  stats::CsvWriter::num(result.trace[x].makespan)};
+        },
+        out);
   }
-  return obs_files.write(out, err);
+  obs_files.write(out);
+  return 0;
 }
 
 // ----- transport -----
-
-/// %.17g: the shortest form that round-trips a double exactly — status
-/// lines compare these byte-for-byte across processes and backends.
-std::string exact_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
 
 /// The simulated reference run of the lockstep transport protocol: the
 /// multi-process CI job launches a real-socket cluster on the same
 /// (instance, seed, rounds) and requires bitwise-equal cmax / load lines
 /// and an equal migration total from this command.
-int cmd_transport(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::string path = args.require("in");
+int cmd_transport(const Args& args, std::ostream& out) {
+  InputFlag input(args);
   const std::string alg = args.get("alg", "dlb2c");
-  const std::uint64_t seed = args.get_seed("seed", 1);
-  const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 10));
+  const std::uint64_t seed = args.get_count("seed", 1);
+  const std::size_t rounds = args.get_count("rounds", 10);
   const double latency = args.get_double("latency", 0.05);
   const double retry = args.get_double("retry-timeout", 0.5);
-  const std::string fault_kind = args.get("fault", "none");
-  const double fault_p = args.get_double("fault-p", 0.1);
-  const std::uint64_t fault_seed = args.get_seed("fault-seed", seed + 1);
-  ObsFiles obs_files(args, "trace-json", "metrics-json");
-  if (const int rc = check_unused(args, err)) return rc;
+  const net::FaultPlan plan = fault_flags(args, seed);
+  ObsFiles obs_files(args);
+  args.reject_unused();
 
   const pairwise::PairKernel& kernel = kernel_by_alg(alg);
-  const core::InstanceStore store = core::load_instance(path);
-  const Instance& instance = store.instance();
+  const Instance& instance = input.load();
   Schedule replica(instance, gen::random_assignment(instance, seed));
 
   des::Engine engine;
   net::ConstantLatency latency_model(latency);
   stats::Rng net_rng = stats::Rng::stream(seed, 0x7A115B0A7ULL);
   net::Network network(engine, latency_model, net_rng);
-  const net::FaultPlan plan =
-      net::fault_plan_by_name(fault_kind, fault_p, fault_seed);
   if (!plan.trivial()) network.set_fault_plan(&plan);
 
   net::SimTransport transport(engine, network, instance.num_machines());
@@ -806,7 +649,7 @@ int cmd_transport(const Args& args, std::ostream& out, std::ostream& err) {
   options.seed = seed;
   options.rounds = rounds;
   options.retry_timeout = retry;
-  if (obs_files.enabled()) options.obs = &obs_files.context;
+  options.obs = obs_files.sinks();
   dist::TransportRunner runner(replica, transport, options);
   runner.start();
   runner.run_to_completion();
@@ -831,11 +674,8 @@ int cmd_transport(const Args& args, std::ostream& out, std::ostream& err) {
       << "retries         : " << counters.retries << "\n"
       << "duplicates      : " << counters.duplicates_ignored << "\n";
   if (!plan.trivial()) {
-    const net::FaultStats& faults = network.fault_stats();
-    out << "faults          : dropped=" << faults.dropped
-        << " delayed=" << faults.delayed
-        << " duplicated=" << faults.duplicated
-        << " reordered=" << faults.reordered << "\n";
+    out << "faults          : " << fault_summary(network.fault_stats())
+        << "\n";
   }
   out << "cmax            : " << exact_double(cmax) << "\n";
   for (MachineId i = 0; i < instance.num_machines(); ++i) {
@@ -844,7 +684,8 @@ int cmd_transport(const Args& args, std::ostream& out, std::ostream& err) {
     out << label << ": " << exact_double(runner.canonical_load(i))
         << " jobs=" << runner.sorted_jobs(i).size() << "\n";
   }
-  return obs_files.write(out, err);
+  obs_files.write(out);
+  return 0;
 }
 
 // ----- cluster observability: trace-merge / metrics-merge / flight -----
@@ -857,41 +698,13 @@ stats::Json load_json_file(const std::string& path) {
   return stats::Json::parse(text.str());
 }
 
-std::vector<std::string> split_comma_list(const std::string& text) {
-  std::vector<std::string> items;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    std::size_t comma = text.find(',', begin);
-    if (comma == std::string::npos) comma = text.size();
-    if (comma > begin) items.push_back(text.substr(begin, comma - begin));
-    if (comma == text.size()) break;
-    begin = comma + 1;
-  }
-  return items;
-}
-
-int write_text_file(const std::string& path, const std::string& text,
-                    std::ostream& err) {
-  std::ofstream file(path);
-  if (!file) {
-    err << "dlbsim: cannot write " << path << "\n";
-    return 1;
-  }
-  file << text;
-  return 0;
-}
-
 /// Stitches N per-daemon Chrome traces into one cluster trace. Exit code
 /// 1 when the merged trace fails causal validation (orphan spans, orphan
 /// receives, or non-monotone session ordering) so CI can gate on it.
-int cmd_trace_merge(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::vector<std::string> paths =
-      split_comma_list(args.require("in"));
+int cmd_trace_merge(const Args& args, std::ostream& out) {
+  const std::vector<std::string> paths = split_list(args.require("in"));
   const std::string out_path = args.get("out", "");
-  if (const int rc = check_unused(args, err)) return rc;
-  if (paths.empty()) {
-    throw std::invalid_argument("--in needs at least one trace file");
-  }
+  args.reject_unused();
 
   std::vector<obs::ProcessTrace> processes;
   processes.reserve(paths.size());
@@ -905,10 +718,7 @@ int cmd_trace_merge(const Args& args, std::ostream& out, std::ostream& err) {
   const obs::MergedTrace merged = obs::merge_cluster_trace(processes);
   const obs::MergeReport& report = merged.report;
   if (!out_path.empty()) {
-    if (const int rc =
-            write_text_file(out_path, merged.chrome.dump(2) + "\n", err)) {
-      return rc;
-    }
+    write_json(out_path, merged.chrome);
     out << "merged trace    : " << out_path << "\n";
   }
   out << "processes       : " << report.processes << "\n"
@@ -928,17 +738,12 @@ int cmd_trace_merge(const Args& args, std::ostream& out, std::ostream& err) {
 /// Merges N per-daemon metrics snapshots into the cluster documents the
 /// launcher uploads: full merge, deterministic stable view, Prometheus
 /// text exposition.
-int cmd_metrics_merge(const Args& args, std::ostream& out,
-                      std::ostream& err) {
-  const std::vector<std::string> paths =
-      split_comma_list(args.require("in"));
+int cmd_metrics_merge(const Args& args, std::ostream& out) {
+  const std::vector<std::string> paths = split_list(args.require("in"));
   const std::string out_path = args.get("out", "");
   const std::string stable_path = args.get("stable-out", "");
   const std::string prom_path = args.get("prom", "");
-  if (const int rc = check_unused(args, err)) return rc;
-  if (paths.empty()) {
-    throw std::invalid_argument("--in needs at least one snapshot file");
-  }
+  args.reject_unused();
 
   std::vector<stats::Json> snapshots;
   snapshots.reserve(paths.size());
@@ -948,26 +753,17 @@ int cmd_metrics_merge(const Args& args, std::ostream& out,
   const stats::Json merged = obs::merge_metrics_snapshots(snapshots);
   out << "daemons         : " << snapshots.size() << "\n";
   if (!out_path.empty()) {
-    if (const int rc =
-            write_text_file(out_path, merged.dump(2) + "\n", err)) {
-      return rc;
-    }
+    write_json(out_path, merged);
     out << "merged snapshot : " << out_path << "\n";
   }
   if (!stable_path.empty()) {
-    const stats::Json stable = obs::stable_cluster_view(merged);
-    if (const int rc =
-            write_text_file(stable_path, stable.dump(2) + "\n", err)) {
-      return rc;
-    }
+    write_json(stable_path, obs::stable_cluster_view(merged));
     out << "stable view     : " << stable_path << "\n";
   }
   if (!prom_path.empty()) {
-    if (const int rc =
-            write_text_file(prom_path, obs::prometheus_exposition(merged),
-                            err)) {
-      return rc;
-    }
+    write_file(prom_path, [&](std::ostream& file) {
+      file << obs::prometheus_exposition(merged);
+    });
     out << "prometheus      : " << prom_path << "\n";
   }
   return 0;
@@ -975,16 +771,14 @@ int cmd_metrics_merge(const Args& args, std::ostream& out,
 
 /// dlb_top-style console rendering of a flight-recorder dump: the
 /// convergence series as an ASCII plot plus the latest sample's numbers.
-int cmd_flight(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_flight(const Args& args, std::ostream& out) {
   const std::string path = args.require("in");
   const std::string series_name = args.get("series", "cmax");
   stats::LinePlotOptions plot;
-  plot.width = static_cast<std::size_t>(
-      args.get_int("width", static_cast<std::int64_t>(plot.width)));
-  plot.height = static_cast<std::size_t>(
-      args.get_int("height", static_cast<std::int64_t>(plot.height)));
+  plot.width = args.get_count("width", plot.width);
+  plot.height = args.get_count("height", plot.height);
   plot.axis_precision = 2;
-  if (const int rc = check_unused(args, err)) return rc;
+  args.reject_unused();
 
   const std::vector<obs::FlightSample> samples =
       obs::FlightRecorder::samples_from_json(load_json_file(path));
@@ -1033,10 +827,10 @@ int cmd_flight(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- markov -----
 
-int cmd_markov(const Args& args, std::ostream& out, std::ostream& err) {
-  const auto m = static_cast<int>(args.get_int("m", 6));
-  const auto p_max = static_cast<markov::Load>(args.get_int("pmax", 4));
-  if (const int rc = check_unused(args, err)) return rc;
+int cmd_markov(const Args& args, std::ostream& out) {
+  const auto m = static_cast<int>(args.get_count("m", 6));
+  const auto p_max = static_cast<markov::Load>(args.get_count("pmax", 4));
+  args.reject_unused();
 
   const auto analysis = markov::analyze_steady_state(m, p_max);
   out << "m=" << m << " pmax=" << p_max << " total=" << analysis.total
@@ -1126,21 +920,20 @@ int run_command(const std::vector<std::string>& argv, std::ostream& out,
   const std::string command = argv.front();
   const Args args =
       Args::parse(std::vector<std::string>(argv.begin() + 1, argv.end()));
+  using Command = int (*)(const Args&, std::ostream&);
+  static const std::map<std::string, Command> kCommands = {
+      {"gen", cmd_gen},           {"convert", cmd_convert},
+      {"info", cmd_info},         {"solve", cmd_solve},
+      {"balance", cmd_balance},   {"serve", cmd_serve},
+      {"simulate", cmd_simulate}, {"transport", cmd_transport},
+      {"trace-merge", cmd_trace_merge},
+      {"metrics-merge", cmd_metrics_merge},
+      {"flight", cmd_flight},     {"markov", cmd_markov},
+  };
   try {
-    if (command == "gen") return cmd_gen(args, out, err);
-    if (command == "convert") return cmd_convert(args, out, err);
-    if (command == "info") return cmd_info(args, out, err);
-    if (command == "solve") return cmd_solve(args, out, err);
-    if (command == "balance") return cmd_balance(args, out, err);
-    if (command == "serve") return cmd_serve(args, out, err);
-    if (command == "simulate") return cmd_simulate(args, out, err);
-    if (command == "transport") return cmd_transport(args, out, err);
-    if (command == "trace-merge") return cmd_trace_merge(args, out, err);
-    if (command == "metrics-merge") {
-      return cmd_metrics_merge(args, out, err);
+    if (const auto it = kCommands.find(command); it != kCommands.end()) {
+      return it->second(args, out);
     }
-    if (command == "flight") return cmd_flight(args, out, err);
-    if (command == "markov") return cmd_markov(args, out, err);
     if (command == "help") {
       out << usage();
       return 0;

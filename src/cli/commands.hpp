@@ -2,15 +2,9 @@
 
 // The dlbsim command implementations, separated from the executable so they
 // can be driven by unit tests. Every command writes human-readable output
-// to `out`, diagnostics to `err`, and returns a process exit code.
-//
-// Commands:
-//   gen      — generate an instance file
-//   info     — describe an instance (shape, bounds)
-//   solve    — run a centralized algorithm on an instance
-//   balance  — run a decentralized balancer (trace optionally to CSV)
-//   markov   — steady-state makespan pdf for (m, p_max)
-//   help     — usage
+// to `out`, diagnostics to `err`, and returns a process exit code; usage()
+// lists the commands and their flags. The flag groups and writers they
+// share with dlbd live in cli/flags.hpp.
 
 #include <ostream>
 #include <string>

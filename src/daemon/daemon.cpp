@@ -5,13 +5,15 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "cli/args.hpp"
+#include "cli/flags.hpp"
 #include "core/generators.hpp"
 #include "dist/checkpoint.hpp"
 #include "obs/aggregate.hpp"
@@ -19,12 +21,6 @@
 namespace dlb::daemon {
 
 namespace {
-
-std::string exact_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
 
 std::vector<std::string> split_words(const std::string& line) {
   std::vector<std::string> words;
@@ -34,16 +30,22 @@ std::vector<std::string> split_words(const std::string& line) {
   return words;
 }
 
-std::uint64_t parse_u64(const std::string& text, const char* what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
+/// A count argument below `limit`, in the shared number grammar: a
+/// hostile id is refused here, before it can index anything.
+std::uint64_t parse_u64(
+    const std::string& text, const char* what,
+    std::uint64_t limit = std::numeric_limits<std::uint64_t>::max()) {
+  const std::optional<std::uint64_t> value = cli::to_count(text);
+  if (!value) {
     throw std::invalid_argument(std::string("expected a number for ") +
                                 what + ", got '" + text + "'");
   }
+  if (*value >= limit) {
+    throw std::invalid_argument(std::string(what) + " " + text +
+                                " out of range (" + std::to_string(limit) +
+                                " " + what + "s)");
+  }
+  return *value;
 }
 
 // The command table: the shell idiom — one row per verb, dispatch by
@@ -94,11 +96,7 @@ constexpr CommandSpec kCommands[] = {
 std::vector<net::HostSpec> parse_host_manifest(
     const std::string& manifest) {
   std::vector<net::HostSpec> hosts;
-  std::size_t begin = 0;
-  while (begin <= manifest.size()) {
-    std::size_t comma = manifest.find(',', begin);
-    if (comma == std::string::npos) comma = manifest.size();
-    const std::string entry = manifest.substr(begin, comma - begin);
+  for (const std::string& entry : cli::split_list(manifest)) {
     const std::size_t eq = entry.rfind('=');
     const std::size_t dash =
         eq == std::string::npos ? std::string::npos : entry.find('-', eq);
@@ -114,11 +112,6 @@ std::vector<net::HostSpec> parse_host_manifest(
     host.machine_hi = static_cast<MachineId>(
         parse_u64(entry.substr(dash + 1), "machine range") + 1);
     hosts.push_back(std::move(host));
-    if (comma == manifest.size()) break;
-    begin = comma + 1;
-  }
-  if (hosts.empty()) {
-    throw std::invalid_argument("host manifest is empty");
   }
   return hosts;
 }
@@ -257,15 +250,12 @@ std::string Daemon::cmd_status(const std::vector<std::string>&) {
         << "retries " << counters.retries << "\n"
         << "duplicates " << counters.duplicates_ignored << "\n";
   if (!options_.fault.trivial()) {
-    const net::FaultStats& faults = transport_->chaos_stats();
-    reply << "faults dropped=" << faults.dropped
-          << " delayed=" << faults.delayed
-          << " duplicated=" << faults.duplicated
-          << " reordered=" << faults.reordered << "\n";
+    reply << "faults " << cli::fault_summary(transport_->chaos_stats())
+          << "\n";
   }
   for (const MachineId machine : transport_->local_machines()) {
     reply << "machine " << machine << " load="
-          << exact_double(runner_->canonical_load(machine))
+          << cli::exact_double(runner_->canonical_load(machine))
           << " jobs=" << runner_->sorted_jobs(machine).size() << "\n";
   }
   return reply.str();
@@ -352,12 +342,14 @@ std::string Daemon::cmd_adopt(const std::vector<std::string>& args) {
   if (args.size() < 3) {
     throw std::invalid_argument("usage: adopt <machine> <job>...");
   }
-  const auto machine =
-      static_cast<MachineId>(parse_u64(args[1], "machine"));
+  const auto machine = static_cast<MachineId>(
+      parse_u64(args[1], "machine", replica_.num_machines()));
+  // Every id is checked before any job moves: a bad list changes nothing.
   std::vector<JobId> jobs;
   jobs.reserve(args.size() - 2);
   for (std::size_t i = 2; i < args.size(); ++i) {
-    jobs.push_back(static_cast<JobId>(parse_u64(args[i], "job")));
+    jobs.push_back(
+        static_cast<JobId>(parse_u64(args[i], "job", replica_.num_jobs())));
   }
   runner_->adopt(jobs, machine);
   return "adopted " + std::to_string(jobs.size()) + " jobs onto machine " +
@@ -368,11 +360,8 @@ std::string Daemon::cmd_mark_dead(const std::vector<std::string>& args) {
   if (args.size() != 2) {
     throw std::invalid_argument("usage: mark-dead <machine>");
   }
-  const auto machine =
-      static_cast<MachineId>(parse_u64(args[1], "machine"));
-  if (machine >= replica_.num_machines()) {
-    throw std::invalid_argument("machine out of range");
-  }
+  const auto machine = static_cast<MachineId>(
+      parse_u64(args[1], "machine", replica_.num_machines()));
   runner_->mark_dead(machine);
   // A crash takes out a whole daemon, so a dead machine means its host
   // is gone: drop the link so reachable() stops routing sessions at the

@@ -2,11 +2,15 @@
 #include "cli/commands.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "golden_digest.hpp"
+#include "obs/obs.hpp"
 #include "stats/json.hpp"
 
 namespace dlb::cli {
@@ -24,17 +28,43 @@ TEST(Args, ParsesPositionalsAndOptions) {
 
 TEST(Args, TypedGettersAndDefaults) {
   const Args args = Args::parse({"--n", "42", "--x", "2.5", "--s", "7"});
-  EXPECT_EQ(args.get_int("n", 0), 42);
+  EXPECT_EQ(args.get_count("n", 0), 42u);
   EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 2.5);
-  EXPECT_EQ(args.get_seed("s", 0), 7u);
-  EXPECT_EQ(args.get_int("absent", -1), -1);
+  EXPECT_EQ(args.get_count("s", 0), 7u);
+  EXPECT_EQ(args.get_count("absent", 9), 9u);
   EXPECT_DOUBLE_EQ(args.get_double("absent", 1.5), 1.5);
 }
 
 TEST(Args, RejectsMalformedNumbers) {
-  const Args args = Args::parse({"--n", "4x", "--neg", "-3"});
-  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_seed("neg", 0), std::invalid_argument);
+  const Args args = Args::parse({"--n", "4x", "--neg", "-3", "--plus", "+5",
+                                 "--big", "18446744073709551616", "--y",
+                                 "2.5z"});
+  EXPECT_THROW((void)args.get_count("n", 0), std::invalid_argument);
+  try {
+    (void)args.get_count("neg", 0);
+    ADD_FAILURE() << "a negative count was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "option --neg must be >= 0");
+  }
+  EXPECT_THROW((void)args.get_count("plus", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_count("big", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("y", 0.0), std::invalid_argument);
+}
+
+TEST(Args, NumberGrammarAndListSplit) {
+  EXPECT_EQ(to_count("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(to_count(""), std::nullopt);
+  EXPECT_EQ(to_count(" 5"), std::nullopt);
+  EXPECT_EQ(to_count("-1"), std::nullopt);
+  EXPECT_EQ(to_number("1e3"), 1000.0);
+  EXPECT_EQ(to_number("-0.25"), -0.25);
+  EXPECT_EQ(to_number("2,5"), std::nullopt);
+
+  EXPECT_EQ(split_list("a,b"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(split_list("a,,b,"),
+            (std::vector<std::string>{"a", "", "b", ""}));
+  EXPECT_EQ(split_list(""), (std::vector<std::string>{""}));
+  EXPECT_EQ(split_list("1@2", '@'), (std::vector<std::string>{"1", "2"}));
 }
 
 TEST(Args, RequireThrowsWhenMissing) {
@@ -45,7 +75,7 @@ TEST(Args, RequireThrowsWhenMissing) {
 
 TEST(Args, TracksUnusedOptions) {
   const Args args = Args::parse({"--used", "1", "--typo", "2"});
-  (void)args.get_int("used", 0);
+  (void)args.get_count("used", 0);
   const auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused.front(), "typo");
@@ -336,6 +366,49 @@ TEST(Commands, GenMultiRejectsMalformedSizes) {
   const auto zero = run({"gen", "--kind", "multi", "--sizes", "0,2",
                          "--out", temp_path("bad2.inst")});
   EXPECT_EQ(zero.code, 2);
+  // Trailing garbage in an item is malformed, not truncated to "3,2".
+  const auto garbage = run({"gen", "--kind", "multi", "--sizes", "3,2x",
+                            "--out", temp_path("bad3.inst")});
+  EXPECT_EQ(garbage.code, 2);
+}
+
+// A negative count is a usage error naming the flag. Wrapped to size_t it
+// would mean an endless exchange loop, a vector::reserve failure or a
+// vector length error.
+void expect_negative_count_rejected(const std::vector<std::string>& argv,
+                                    const std::string& key) {
+  const auto result = run(argv);
+  EXPECT_EQ(result.code, 2) << result.err;
+  EXPECT_NE(result.err.find("--" + key + " must be >= 0"), std::string::npos)
+      << result.err;
+}
+
+TEST(Commands, BalanceRejectsNegativeExchangesPerMachine) {
+  const std::string path = temp_path("cli_neg_epm.inst");
+  ASSERT_EQ(run({"gen", "--kind", "identical", "--m", "3", "--jobs", "12",
+                 "--out", path})
+                .code,
+            0);
+  expect_negative_count_rejected(
+      {"balance", "--in", path, "--exchanges-per-machine", "-1"},
+      "exchanges-per-machine");
+}
+
+TEST(Commands, BalanceRejectsNegativeThreads) {
+  const std::string path = temp_path("cli_neg_threads.inst");
+  ASSERT_EQ(run({"gen", "--kind", "identical", "--m", "3", "--jobs", "12",
+                 "--out", path})
+                .code,
+            0);
+  expect_negative_count_rejected(
+      {"balance", "--in", path, "--engine", "parallel", "--threads", "-1"},
+      "threads");
+}
+
+TEST(Commands, GenRejectsNegativeMachineCount) {
+  expect_negative_count_rejected({"gen", "--kind", "identical", "--m", "-3",
+                                  "--out", temp_path("neg_m.inst")},
+                                 "m");
 }
 
 TEST(Commands, GenRejectsUnknownKind) {
@@ -454,6 +527,263 @@ TEST(Commands, ServeRejectsBadArrivalSpecs) {
   const auto bad_placement = run({"serve", "--in", path, "--arrivals",
                                   "poisson:0.1", "--placement", "best_fit"});
   EXPECT_EQ(bad_placement.code, 2);
+}
+
+// ---- golden cross-commit pins ----
+//
+// The tests above check substrings; these pin FNV-1a digests of stdout,
+// stderr, the exit code and every file a command writes, so a front-end
+// change that shifts any byte of any command's output fails here. Each
+// test runs in its own empty directory with fixed relative file names,
+// because commands echo their paths to stdout.
+
+class CliGolden : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    previous_ = std::filesystem::current_path();
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           (std::string("cli_golden_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    std::filesystem::current_path(dir_);
+  }
+  void TearDown() override {
+    std::filesystem::current_path(previous_);
+    std::filesystem::remove_all(dir_);
+  }
+
+  /// Runs one command and folds its stdout, stderr, exit code and the
+  /// bytes of each named output file into the digest.
+  void step(const std::vector<std::string>& argv,
+            const std::vector<std::string>& files = {}) {
+    const CommandResult result = run(argv);
+    digest_.add(result.out);
+    digest_.add(result.err);
+    digest_.add(static_cast<std::uint64_t>(result.code));
+    for (const std::string& file : files) digest_.add(slurp(file));
+  }
+
+  /// The shared two-cluster instance most runs read.
+  void gen_instance() {
+    step({"gen", "--m1", "4", "--m2", "2", "--jobs", "48", "--hi", "100",
+          "--out", "a.inst"},
+         {"a.inst"});
+  }
+
+  void expect_digest(std::uint64_t expected) const {
+    EXPECT_EQ(digest_.value(), expected)
+        << "digest 0x" << std::hex << digest_.value();
+  }
+
+  golden::Digest digest_;
+
+ private:
+  std::filesystem::path previous_;
+  std::filesystem::path dir_;
+};
+
+/// Obs JSON holds trace bytes, which a DLB_OBS=OFF build does not emit.
+#define DLB_REQUIRE_OBS()                                        \
+  if (!obs::Tracer::compiled_in()) {                             \
+    GTEST_SKIP() << "digest includes trace bytes (DLB_OBS=OFF)"; \
+  }
+
+TEST_F(CliGolden, Help) {
+  step({"help"});
+  expect_digest(0x044C502C34AB026CULL);
+}
+
+TEST_F(CliGolden, GenEveryKindTextAndBinary) {
+  gen_instance();
+  step({"gen", "--kind", "two-cluster", "--m1", "3", "--m2", "2", "--jobs",
+        "20", "--seed", "4", "--out", "b.dlbi"},
+       {"b.dlbi"});
+  step({"gen", "--kind", "identical", "--m", "3", "--jobs", "12", "--lo",
+        "2", "--hi", "9", "--out", "c.inst"},
+       {"c.inst"});
+  step({"gen", "--kind", "unrelated", "--m", "3", "--jobs", "12", "--out",
+        "d.inst"},
+       {"d.inst"});
+  step({"gen", "--kind", "typed", "--m", "4", "--jobs", "24", "--types",
+        "3", "--hi", "10", "--out", "e.inst"},
+       {"e.inst"});
+  step({"gen", "--kind", "multi", "--sizes", "3,2,2", "--jobs", "42",
+        "--hi", "50", "--out", "f.dlbi"},
+       {"f.dlbi"});
+  expect_digest(0x2881376BF2B357D7ULL);
+}
+
+TEST_F(CliGolden, ConvertAndInfo) {
+  gen_instance();
+  step({"convert", "--in", "a.inst", "--out", "b.dlbi"}, {"b.dlbi"});
+  step({"convert", "--in", "b.dlbi", "--out", "c.txt", "--to", "text"},
+       {"c.txt"});
+  step({"convert", "--in", "a.inst", "--out", "d.bin", "--to", "binary"},
+       {"d.bin"});
+  step({"info", "--in", "a.inst"});
+  step({"info", "--in", "b.dlbi"});
+  step({"gen", "--kind", "typed", "--m", "4", "--jobs", "24", "--types",
+        "3", "--hi", "10", "--out", "typed.inst"});
+  step({"info", "--in", "typed.inst"});
+  expect_digest(0x99F0482CCC494B53ULL);
+}
+
+TEST_F(CliGolden, SolveEveryAlgorithm) {
+  step({"gen", "--m1", "2", "--m2", "1", "--jobs", "8", "--hi", "20",
+        "--out", "s.inst"});
+  for (const char* alg : {"list", "lpt", "ect", "minmin", "maxmin",
+                          "sufferage", "clb2c", "lenstra", "exact"}) {
+    step({"solve", "--in", "s.inst", "--alg", alg});
+  }
+  expect_digest(0xD2760EB37F3F701BULL);
+}
+
+TEST_F(CliGolden, BalanceSequentialWithTraceAndObs) {
+  DLB_REQUIRE_OBS();
+  gen_instance();
+  step({"balance", "--in", "a.inst", "--exchanges-per-machine", "4",
+        "--seed", "3", "--trace", "t.csv", "--trace-json", "tj.json",
+        "--metrics-json", "m.json", "--flight-json", "f.json"},
+       {"t.csv", "tj.json", "m.json", "f.json"});
+  step({"balance", "--in", "a.inst", "--alg", "dlb2c_q95", "--peer",
+        "max-load_q95", "--cost-model", "lognormal:0.5",
+        "--exchanges-per-machine", "5", "--metrics-json", "risk.json"},
+       {"risk.json"});
+  expect_digest(0x3B5AC21D2E91F7A0ULL);
+}
+
+TEST_F(CliGolden, BalanceParallelWithTraceAndObs) {
+  DLB_REQUIRE_OBS();
+  gen_instance();
+  step({"balance", "--in", "a.inst", "--engine", "parallel", "--threads",
+        "2", "--exchanges-per-machine", "6", "--seed", "5", "--trace",
+        "t.csv", "--trace-json", "tj.json", "--metrics-json", "m.json",
+        "--flight-json", "f.json"},
+       {"t.csv", "tj.json", "m.json", "f.json"});
+  expect_digest(0x1F4C744A1F3020CFULL);
+}
+
+TEST_F(CliGolden, BalanceChurnCheckpointResume) {
+  gen_instance();
+  {
+    std::ofstream plan("churn.plan");
+    plan << "dlb-churn-plan v1\n"
+         << "seed 5 redispatch_per_epoch 0\n"
+         << "events 3\n"
+         << "2 crash 5\n"
+         << "3 drain 4\n"
+         << "5 join 5\n";
+  }
+  for (const char* engine : {"seq", "parallel"}) {
+    const std::string ckpt = std::string(engine) + ".ckpt";
+    step({"balance", "--in", "a.inst", "--engine", engine, "--threads", "2",
+          "--churn-plan", "churn.plan", "--checkpoint", ckpt,
+          "--checkpoint-every", "2", "--exchanges-per-machine", "8",
+          "--trace", "t.csv"},
+         {ckpt, "t.csv"});
+    step({"balance", "--in", "a.inst", "--engine", engine, "--threads", "2",
+          "--churn-plan", "churn.plan", "--resume", ckpt,
+          "--exchanges-per-machine", "12"});
+    step({"balance", "--in", "a.inst", "--engine", engine, "--threads", "2",
+          "--checkpoint", "late.ckpt", "--checkpoint-every", "99",
+          "--exchanges-per-machine", "2"});
+  }
+  expect_digest(0xFBD52EE23850FDE5ULL);
+}
+
+TEST_F(CliGolden, ServeSequentialAndParallelRepair) {
+  DLB_REQUIRE_OBS();
+  gen_instance();
+  step({"serve", "--in", "a.inst", "--arrivals", "poisson:0.05",
+        "--placement", "two_choices:2", "--repair-every", "25",
+        "--repair-budget", "8", "--seed", "9", "--trace", "t.csv",
+        "--trace-json", "tj.json", "--metrics-json", "m.json",
+        "--flight-json", "f.json"},
+       {"t.csv", "tj.json", "m.json", "f.json"});
+  step({"serve", "--in", "a.inst", "--arrivals", "bursty:0.1,0.01,50,25",
+        "--repair-every", "20", "--repair-budget", "6", "--repair-engine",
+        "parallel", "--threads", "2", "--seed", "3", "--num-arrivals", "30",
+        "--trace", "p.csv"},
+       {"p.csv"});
+  step({"serve", "--in", "a.inst", "--arrivals", "diurnal:0.02,0.08@40",
+        "--placement", "ect", "--seed", "4", "--num-arrivals", "40"});
+  expect_digest(0xB463F301FC9E207DULL);
+}
+
+TEST_F(CliGolden, ServeHaltResume) {
+  gen_instance();
+  const std::vector<std::string> common = {
+      "serve", "--in", "a.inst", "--arrivals", "poisson:0.08",
+      "--repair-every", "30", "--repair-budget", "4", "--seed", "17"};
+  auto halt = common;
+  halt.insert(halt.end(),
+              {"--halt-after-events", "11", "--checkpoint", "s.ckpt"});
+  step(halt, {"s.ckpt"});
+  auto resume = common;
+  resume.insert(resume.end(), {"--resume", "s.ckpt", "--checkpoint",
+                               "e.ckpt", "--checkpoint-every-events", "7"});
+  step(resume, {"e.ckpt"});
+  expect_digest(0x393174D779D99F0DULL);
+}
+
+TEST_F(CliGolden, SimulateWithTraceAndObs) {
+  DLB_REQUIRE_OBS();
+  gen_instance();
+  step({"simulate", "--in", "a.inst", "--duration", "10", "--latency",
+        "0.2", "--think", "0.5", "--backoff", "2", "--seed", "6", "--trace",
+        "t.csv", "--trace-json", "tj.json", "--metrics-json", "m.json"},
+       {"t.csv", "tj.json", "m.json"});
+  expect_digest(0xA28FE86B9D6B212BULL);
+}
+
+TEST_F(CliGolden, TransportChaos) {
+  DLB_REQUIRE_OBS();
+  gen_instance();
+  step({"transport", "--in", "a.inst", "--rounds", "3", "--fault", "chaos",
+        "--fault-p", "0.2", "--seed", "2", "--trace-json", "tj.json",
+        "--metrics-json", "m.json", "--flight-json", "f.json"},
+       {"tj.json", "m.json", "f.json"});
+  step({"transport", "--in", "a.inst", "--rounds", "2", "--latency", "0.1",
+        "--retry-timeout", "0.3", "--fault-seed", "8"});
+  expect_digest(0x1F3612495FED6F02ULL);
+}
+
+TEST_F(CliGolden, TraceAndMetricsMergeAndFlight) {
+  DLB_REQUIRE_OBS();
+  gen_instance();
+  for (const char* seed : {"1", "2"}) {
+    step({"transport", "--in", "a.inst", "--rounds", "2", "--seed", seed,
+          "--trace-json", std::string("t") + seed + ".json",
+          "--metrics-json", std::string("m") + seed + ".json",
+          "--flight-json", std::string("f") + seed + ".json"});
+  }
+  step({"trace-merge", "--in", "t1.json,t2.json", "--out", "merged.json"},
+       {"merged.json"});
+  step({"metrics-merge", "--in", "m1.json,m2.json", "--out", "mm.json",
+        "--stable-out", "stable.json", "--prom", "metrics.prom"},
+       {"mm.json", "stable.json", "metrics.prom"});
+  step({"flight", "--in", "f1.json"});
+  step({"flight", "--in", "f2.json", "--series", "migrations", "--width",
+        "30", "--height", "6"});
+  expect_digest(0x2C30B794FF7219E6ULL);
+}
+
+TEST_F(CliGolden, Markov) {
+  step({"markov", "--m", "4", "--pmax", "2"});
+  step({"markov"});
+  expect_digest(0x40C22E624A8006A2ULL);
+}
+
+TEST_F(CliGolden, UsageErrors) {
+  gen_instance();
+  step({"frobnicate"});
+  step({"markov", "--m", "4", "--oops", "1"});
+  step({"info"});
+  step({"balance", "--in", "a.inst", "--alg", "nope"});
+  step({"gen", "--jobs", "4x", "--out", "x.inst"});
+  expect_digest(0x9CC9B0C29F90AC3EULL);
 }
 
 }  // namespace

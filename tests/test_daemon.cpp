@@ -19,6 +19,7 @@
 
 #include "core/generators.hpp"
 #include "dist/dlb2c.hpp"
+#include "golden_digest.hpp"
 #include "net/socket_transport.hpp"
 #include "stats/json.hpp"
 
@@ -48,13 +49,14 @@ struct Pair {
 /// Two in-process daemons run to protocol completion (higher rank dials
 /// first, as everywhere else in the socket tests).
 Pair converged_pair(const Instance& instance, const std::string& tag,
-                    const dist::Dlb2cKernel& kernel, bool trace) {
+                    const dist::Dlb2cKernel& kernel, bool trace,
+                    double retry_timeout = 0.05) {
   DaemonOptions options;
   options.hosts = make_unix_hosts(tag, instance.num_machines());
   options.kernel = &kernel;
   options.seed = 13;
   options.rounds = 3;
-  options.retry_timeout = 0.05;
+  options.retry_timeout = retry_timeout;
   options.trace = trace;
   Pair pair;
   options.self = 0;
@@ -176,6 +178,54 @@ TEST(Daemon, CommandsAfterShutdownAreRefused) {
         << command;
   }
 
+  pair.b->execute("shutdown");
+}
+
+TEST(Daemon, HostileAdoptIsRefusedAndTheDaemonKeepsServing) {
+  const Instance instance =
+      gen::two_cluster_uniform(2, 2, 32, 1.0, 100.0, 12);
+  const dist::Dlb2cKernel kernel;
+  Pair pair = converged_pair(instance, "adopt", kernel, /*trace=*/false);
+  const std::string jobs_before = pair.a->execute("jobs");
+
+  // A job id past the instance, a negative id, an id past 32 bits, a bad
+  // id after a good one and a machine past the instance: each is refused
+  // before any job moves.
+  for (const std::string command :
+       {"adopt 0 4000000000", "adopt 0 -1", "adopt 0 4294967296",
+        "adopt 0 1 99", "adopt 4000000000 1"}) {
+    const std::string reply = pair.a->execute(command);
+    EXPECT_EQ(reply.rfind("error: ", 0), 0u) << command << ": " << reply;
+  }
+  EXPECT_EQ(pair.a->execute("jobs"), jobs_before);
+  const std::string status = pair.a->execute("status");
+  EXPECT_EQ(status.rfind("state done\n", 0), 0u) << status;
+  EXPECT_EQ(status.substr(status.size() - 3), "ok\n");
+
+  pair.a->execute("shutdown");
+  pair.b->execute("shutdown");
+}
+
+TEST(Daemon, HelpStatusAndJobsRepliesArePinned) {
+  // A digest of both hosts' replies pins their bytes across commits. The
+  // retry timeout is far above any lockstep round trip, so the retry and
+  // duplicate counters in `status` stay 0 and the replies are
+  // deterministic.
+  const Instance instance =
+      gen::two_cluster_uniform(2, 2, 32, 1.0, 100.0, 12);
+  const dist::Dlb2cKernel kernel;
+  Pair pair = converged_pair(instance, "golden", kernel, /*trace=*/false,
+                             /*retry_timeout=*/30.0);
+  golden::Digest digest;
+  for (Daemon* daemon : {pair.a.get(), pair.b.get()}) {
+    for (const char* command : {"help", "status", "jobs"}) {
+      digest.add(daemon->execute(command));
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x1E6C72C68FE2B903ULL)
+      << "digest 0x" << std::hex << digest.value();
+
+  pair.a->execute("shutdown");
   pair.b->execute("shutdown");
 }
 

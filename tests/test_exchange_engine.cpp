@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -12,6 +11,7 @@
 #include <string_view>
 
 #include "core/generators.hpp"
+#include "golden_digest.hpp"
 #include "dist/churn.hpp"
 #include "dist/parallel_exchange_engine.hpp"
 #include "obs/obs.hpp"
@@ -242,23 +242,7 @@ enum class GoldenConfig {
 
 constexpr std::array<std::uint64_t, 3> kGoldenSeeds = {1, 2, 3};
 
-class Digest {
- public:
-  void add(std::string_view bytes) {
-    for (const char c : bytes) mix(static_cast<unsigned char>(c));
-    mix(0xFF);  // Field separator: "ab"+"c" and "a"+"bc" differ.
-  }
-  void add(std::uint64_t value) { add(std::to_string(value)); }
-  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  void mix(unsigned char byte) {
-    hash_ ^= byte;
-    hash_ *= 0x100000001B3ULL;
-  }
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
+using dlb::golden::Digest;
 
 /// Every sink a golden run writes to.
 struct GoldenSinks {

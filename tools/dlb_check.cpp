@@ -106,8 +106,8 @@ int run_replay(const std::vector<std::string>& tokens) {
   }
 
   dlb::check::CaseContext context;
-  context.seed = args.get_seed("seed", 42);
-  context.index = static_cast<std::uint64_t>(args.get_int("index", 0));
+  context.seed = args.get_count("seed", 42);
+  context.index = args.get_count("index", 0);
   const std::string fault_name = args.get("faults", "none");
   const dlb::net::FaultPlan plan = dlb::net::fault_plan_by_name(
       fault_name, args.get_double("fault-p", 0.15), context.seed ^ 0xFA17u);
@@ -147,14 +147,13 @@ int run_replay(const std::vector<std::string>& tokens) {
 
 int run(const dlb::cli::Args& args) {
   dlb::check::SuiteOptions options;
-  options.cases = static_cast<std::uint64_t>(args.get_int("cases", 1000));
-  options.seed = args.get_seed("seed", 42);
+  options.cases = args.get_count("cases", 1000);
+  options.seed = args.get_count("seed", 42);
   options.faults = args.get("faults", "rotate");
   options.fault_p = args.get_double("fault-p", 0.15);
   options.shrink_failures = !args.has("no-shrink");
   options.dump_dir = args.get("dump", "");
-  options.max_failures =
-      static_cast<std::size_t>(args.get_int("max-failures", 10));
+  options.max_failures = args.get_count("max-failures", 10);
   const bool verbose = args.has("verbose");
   const std::string regime = args.get("regime", "");
   if (!regime.empty()) {

@@ -22,67 +22,37 @@
 
 #include <csignal>
 
-#include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cli/args.hpp"
-#include "core/instance_io.hpp"
-#include "core/instance_store.hpp"
+#include "cli/flags.hpp"
 #include "daemon/daemon.hpp"
-#include "net/fault.hpp"
-#include "pairwise/kernel_registry.hpp"
 
 namespace {
 
 int run(const std::vector<std::string>& argv) {
-  using dlb::cli::Args;
+  using namespace dlb::cli;
   const Args args = Args::parse(argv);
-  const std::string in_path = args.require("in");
-  const std::string manifest = args.require("hosts");
-  const auto self = static_cast<std::size_t>(args.get_int("self", 0));
-  const std::string alg = args.get("alg", "dlb2c");
-  const std::uint64_t seed = args.get_seed("seed", 1);
-  const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 10));
-  const double retry = args.get_double("retry-timeout", 0.5);
-  const double connect_timeout = args.get_double("connect-timeout", 15.0);
-  const std::string fault_kind = args.get("fault", "none");
-  const double fault_p = args.get_double("fault-p", 0.1);
-  const std::uint64_t fault_seed = args.get_seed("fault-seed", seed + 1);
-  const std::string metrics_path = args.get("metrics-json", "");
-  const std::string trace_path = args.get("trace-json", "");
-  const std::string flight_path = args.get("flight-json", "");
-  const bool trace_on = args.has("trace") || !trace_path.empty();
-  for (const auto& key : args.unused()) {
-    std::cerr << "dlbd: unknown option --" << key << "\n";
-    return 2;
-  }
-
-  const dlb::pairwise::KernelRegistry& registry =
-      dlb::pairwise::kernel_registry();
-  if (!registry.contains(alg)) {
-    std::cerr << "dlbd: unknown --alg '" << alg << "' ("
-              << registry.names_joined() << ")\n";
-    return 2;
-  }
-
-  const dlb::core::InstanceStore store = dlb::core::load_instance(in_path);
-  const dlb::Instance& instance = store.instance();
-
+  InputFlag input(args);
   dlb::daemon::DaemonOptions options;
-  options.hosts = dlb::daemon::parse_host_manifest(manifest);
-  options.self = self;
-  options.kernel = &registry.get(alg);
-  options.seed = seed;
-  options.rounds = rounds;
-  options.retry_timeout = retry;
-  options.connect_timeout = connect_timeout;
-  options.fault =
-      dlb::net::fault_plan_by_name(fault_kind, fault_p, fault_seed);
-  options.trace = trace_on;
+  options.hosts = dlb::daemon::parse_host_manifest(args.require("hosts"));
+  options.self = args.get_count("self", 0);
+  options.kernel = &kernel_by_alg(args.get("alg", "dlb2c"));
+  options.seed = args.get_count("seed", 1);
+  options.rounds = args.get_count("rounds", 10);
+  options.retry_timeout = args.get_double("retry-timeout", 0.5);
+  options.connect_timeout = args.get_double("connect-timeout", 15.0);
+  options.fault = fault_flags(args, options.seed);
+  const ObsFlags obs(args);
+  options.trace = args.has("trace") || !obs.trace.empty();
+  args.reject_unused();
+  const dlb::Instance& instance = input.load();
 
   dlb::daemon::Daemon daemon(instance, options);
+  const std::size_t self = options.self;
   std::cerr << "dlbd[" << self << "] listening on "
             << daemon.transport().listen_address() << ", machines "
             << options.hosts[self].machine_lo << "-"
@@ -94,19 +64,9 @@ int run(const std::vector<std::string>& argv) {
             << std::flush;
 
   daemon.serve(0, std::cout, std::cerr);
-
-  if (!metrics_path.empty()) {
-    std::ofstream file(metrics_path);
-    file << daemon.metrics().snapshot().dump(2) << "\n";
-  }
-  if (!trace_path.empty()) {
-    std::ofstream file(trace_path);
-    file << daemon.tracer().to_chrome_json().dump(2) << "\n";
-  }
-  if (!flight_path.empty()) {
-    std::ofstream file(flight_path);
-    file << daemon.flight().to_json().dump(2) << "\n";
-  }
+  // A dump that cannot be written is "cannot write" and exit 1, never a
+  // silent loss; the summary lines go to the log.
+  obs.write(daemon.metrics(), daemon.tracer(), daemon.flight(), std::cerr);
   return 0;
 }
 
@@ -118,6 +78,9 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   try {
     return run(std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "dlbd: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "dlbd: " << e.what() << "\n";
     return 1;
