@@ -192,9 +192,9 @@ void Daemon::serve(int input_fd, std::ostream& out, std::ostream& log) {
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
-      // EOF or error: the launcher is gone, stop serving.
+      // EOF or error: the launcher is gone. Stop serving once the lines
+      // that arrived with the EOF have been answered.
       input_open = false;
-      shutdown_ = true;
       break;
     }
     std::size_t newline = 0;
@@ -205,6 +205,7 @@ void Daemon::serve(int input_fd, std::ostream& out, std::ostream& log) {
           << std::flush;
       out << execute(line) << std::flush;
     }
+    if (!input_open) shutdown_ = true;
   });
 
   bool reported_done = false;
@@ -217,7 +218,7 @@ void Daemon::serve(int input_fd, std::ostream& out, std::ostream& log) {
           << std::flush;
     }
   }
-  if (input_open) transport_->remove_watch(input_fd);
+  transport_->remove_watch(input_fd);
   log << "dlbd[" << options_.self << "] shutting down\n" << std::flush;
 }
 

@@ -79,7 +79,8 @@ class Daemon {
 
   /// Serves the command channel from `input_fd` (replies to `out`) while
   /// pumping the protocol, until `shutdown` arrives or the input hits
-  /// EOF. This is dlbd's main loop.
+  /// EOF. Complete lines read together with the EOF are still answered.
+  /// This is dlbd's main loop.
   void serve(int input_fd, std::ostream& out, std::ostream& log);
 
   /// One protocol pump, for in-process tests driving several daemons.

@@ -58,6 +58,7 @@ OpenCheckpoint OpenCheckpoint::load(std::istream& in) {
   ck.num_jobs = reader.value<std::size_t>("jobs");
   ck.total_arrivals = reader.value<std::size_t>("total_arrivals");
   ck.now = reader.bits("now");
+  if (!std::isfinite(ck.now)) reader.fail("non-finite now");
   ck.events = reader.value<std::uint64_t>("events");
   ck.bursts = reader.value<std::uint64_t>("bursts");
   ck.submitted = reader.value<std::size_t>("submitted");
@@ -85,6 +86,9 @@ OpenCheckpoint OpenCheckpoint::load(std::istream& in) {
                                        kNoJob, n, "in_service");
   ck.busy_until =
       reader.bits_row(reader.count("busy_until", m, true), "busy_until");
+  for (const double horizon : ck.busy_until) {
+    if (!std::isfinite(horizon)) reader.fail("non-finite entry in busy_until");
+  }
   ck.completion_time = reader.bits_row(
       reader.count("completion_time", n, true), "completion_time");
   ck.queue_seen = reader.row<std::uint64_t>(

@@ -88,7 +88,9 @@ struct OpenSystemOptions {
   std::optional<std::uint64_t> halt_after_events;
   /// When set: continue the checkpointed run. `schedule` must come from
   /// OpenCheckpoint::make_schedule and run() must get the same seed. The
-  /// finished run is bitwise identical to one that never stopped.
+  /// finished run is bitwise identical to one that never stopped. run()
+  /// refuses a checkpoint whose per-machine or per-job vectors do not
+  /// match the instance, or whose in-service horizon lies before `now`.
   const OpenCheckpoint* resume = nullptr;
 };
 

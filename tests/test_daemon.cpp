@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,33 @@ TEST(Daemon, CommandsAfterShutdownAreRefused) {
   }
 
   pair.b->execute("shutdown");
+}
+
+TEST(Daemon, ServeAnswersCommandsThatArriveWithTheEof) {
+  // `printf 'status\n' | dlbd ...`: the command and the EOF reach serve()
+  // in one read, and the command still gets its real reply.
+  const Instance instance =
+      gen::two_cluster_uniform(2, 2, 32, 1.0, 100.0, 12);
+  const dist::Dlb2cKernel kernel;
+  Pair pair = converged_pair(instance, "pipe", kernel, /*trace=*/false,
+                             /*retry_timeout=*/30.0);
+  const std::string expected = pair.a->execute("status");
+  ASSERT_EQ(expected.rfind("state done\n", 0), 0u) << expected;
+
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const std::string input = "status\n";
+  ASSERT_EQ(::write(fds[1], input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  ::close(fds[1]);
+  std::ostringstream out;
+  std::ostringstream log;
+  pair.a->serve(fds[0], out, log);
+  ::close(fds[0]);
+
+  EXPECT_EQ(out.str(), expected);
+  EXPECT_TRUE(pair.a->shutdown_requested());
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, HostileAdoptIsRefusedAndTheDaemonKeepsServing) {
