@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "core/ratio_rank.hpp"
 #include "core/types.hpp"
 
 namespace dlb::core {
@@ -192,6 +193,16 @@ class Instance {
     return *cost_model_;
   }
 
+  // ----- ratio rank (core/ratio_rank.hpp) -----
+
+  /// The two-group ratio rank once built, else null. Each comparator
+  /// ratio sort charges its `sort_work` (RatioRank::sort_work); the call
+  /// that brings the total to one build's cost builds the rank. Null for
+  /// good when the identity guard refuses this instance. Thread-safe.
+  [[nodiscard]] const RatioRank* ratio_rank(std::uint64_t sort_work) const {
+    return ratio_rank_.acquire(*this, sort_work);
+  }
+
  private:
   friend class core::InstanceStore;
 
@@ -234,6 +245,7 @@ class Instance {
   Cost max_cost_ = 0.0;
   bool unit_scales_ = true;
   std::optional<cost::CostModel> cost_model_;
+  RatioRank ratio_rank_;  // copies start without one
 };
 
 }  // namespace dlb

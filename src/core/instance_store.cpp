@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
@@ -121,10 +122,20 @@ void write_elements(std::ofstream& out, std::size_t count, Fn&& fn) {
   return base + off;
 }
 
+/// Fails unless a section of `factors` multiplied bytes (element count(s)
+/// times element size) fits in the file at `off`. The product and the end
+/// offset are overflow-checked, so a hostile header cannot wrap them
+/// into range.
 void check_section(const DlbiHeader& header, std::uint64_t off,
-                   std::size_t bytes, const std::string& name) {
-  if (off == 0 || off % kSectionAlign != 0 || off < kHeaderBytes ||
-      off + bytes > header.file_size) {
+                   std::initializer_list<std::uint64_t> factors,
+                   const std::string& name) {
+  std::uint64_t bytes = 1;
+  bool wrapped = false;
+  for (const std::uint64_t factor : factors) {
+    wrapped = wrapped || __builtin_mul_overflow(bytes, factor, &bytes);
+  }
+  if (wrapped || off == 0 || off % kSectionAlign != 0 || off < kHeaderBytes ||
+      off > header.file_size || bytes > header.file_size - off) {
     fail("corrupt header: section '" + name + "' out of bounds");
   }
 }
@@ -319,13 +330,13 @@ InstanceStore InstanceStore::open_mapped(const std::string& path) {
   if (m == 0 || g == 0) {
     fail("'" + path + "': need at least one machine and one group");
   }
-  check_section(header, header.off_group_of, m * sizeof(std::uint32_t),
+  check_section(header, header.off_group_of, {m, sizeof(std::uint32_t)},
                 "group_of");
-  check_section(header, header.off_scales, m * sizeof(double), "scales");
-  check_section(header, header.off_costs, g * n * sizeof(double), "costs");
+  check_section(header, header.off_scales, {m, sizeof(double)}, "scales");
+  check_section(header, header.off_costs, {g, n, sizeof(double)}, "costs");
   const JobTypeId* types = nullptr;
   if ((header.flags & kFlagTypes) != 0) {
-    check_section(header, header.off_types, n * sizeof(std::uint32_t),
+    check_section(header, header.off_types, {n, sizeof(std::uint32_t)},
                   "types");
     types = static_cast<const JobTypeId*>(section(base, header.off_types));
   }
@@ -341,7 +352,7 @@ InstanceStore InstanceStore::open_mapped(const std::string& path) {
       g, n, header.num_job_types, header.max_cost, header.unit_scales != 0));
 
   if ((header.flags & kFlagCostModel) != 0) {
-    check_section(header, header.off_costmodel, n * sizeof(DlbiDist),
+    check_section(header, header.off_costmodel, {n, sizeof(DlbiDist)},
                   "costmodel");
     const auto* dists =
         static_cast<const DlbiDist*>(section(base, header.off_costmodel));
@@ -358,7 +369,7 @@ InstanceStore InstanceStore::open_mapped(const std::string& path) {
     store.instance_->set_cost_model(cost::CostModel(std::move(parsed)));
   }
   if ((header.flags & kFlagAssignment) != 0) {
-    check_section(header, header.off_assignment, n * sizeof(std::uint32_t),
+    check_section(header, header.off_assignment, {n, sizeof(std::uint32_t)},
                   "assignment");
     store.initial_ptr_ =
         static_cast<const std::uint32_t*>(section(base, header.off_assignment));

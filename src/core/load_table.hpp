@@ -28,8 +28,9 @@
 //
 // Iteration order over a machine's jobs is the insertion order of the
 // current residents (most recently attached first). Nothing in the library
-// depends on that order: kernels sort their pooled jobs by id, and all
-// consistency checks are order-insensitive.
+// depends on that order: kernels sort their pooled jobs into a total order
+// (by id, or by ratio with id tie-breaks), and all consistency checks are
+// order-insensitive.
 
 #include <atomic>
 #include <cstddef>

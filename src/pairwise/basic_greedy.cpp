@@ -61,9 +61,11 @@ bool apply_split(Schedule& schedule, MachineId a, MachineId b,
   return changed;
 }
 
-void basic_greedy_split(const Instance& instance, MachineId a, MachineId b,
-                        std::span<const JobId> pool, std::vector<JobId>& to_a,
-                        std::vector<JobId>& to_b) {
+std::pair<Cost, Cost> basic_greedy_split(const Instance& instance,
+                                         MachineId a, MachineId b,
+                                         std::span<const JobId> pool,
+                                         std::vector<JobId>& to_a,
+                                         std::vector<JobId>& to_b) {
   to_a.clear();
   to_b.clear();
   Cost load_a = 0.0;
@@ -80,6 +82,7 @@ void basic_greedy_split(const Instance& instance, MachineId a, MachineId b,
       load_b += cb;
     }
   }
+  return {load_a, load_b};
 }
 
 bool BasicGreedyKernel::balance(Schedule& schedule, MachineId a,
@@ -87,11 +90,8 @@ bool BasicGreedyKernel::balance(Schedule& schedule, MachineId a,
   const Instance& instance = schedule.decision_instance();
   PairScratch& s = pair_scratch();
   pooled_jobs_into(schedule, a, b, s.pool);
-  basic_greedy_split(instance, a, b, s.pool, s.to_a, s.to_b);
-  Cost load_a = 0.0;
-  Cost load_b = 0.0;
-  for (JobId j : s.to_a) load_a += instance.cost(a, j);
-  for (JobId j : s.to_b) load_b += instance.cost(b, j);
+  const auto [load_a, load_b] =
+      basic_greedy_split(instance, a, b, s.pool, s.to_a, s.to_b);
   if (split_is_load_neutral(schedule, a, b, load_a, load_b)) return false;
   return apply_split(schedule, a, b, s.to_a, s.to_b);
 }

@@ -7,16 +7,20 @@
 // heuristic and is the kernel OJTB (Algorithm 3) runs.
 
 #include <span>
+#include <utility>
 
 #include "pairwise/pair_kernel.hpp"
 
 namespace dlb::pairwise {
 
 /// Computes the Basic Greedy split of `pool` (jobs in the given order)
-/// between machines a and b starting from empty loads; fills to_a/to_b.
-void basic_greedy_split(const Instance& instance, MachineId a, MachineId b,
-                        std::span<const JobId> pool, std::vector<JobId>& to_a,
-                        std::vector<JobId>& to_b);
+/// between machines a and b starting from empty loads; fills to_a/to_b and
+/// returns the loads of a and b (the dealt costs summed in order).
+std::pair<Cost, Cost> basic_greedy_split(const Instance& instance,
+                                         MachineId a, MachineId b,
+                                         std::span<const JobId> pool,
+                                         std::vector<JobId>& to_a,
+                                         std::vector<JobId>& to_b);
 
 class BasicGreedyKernel final : public PairKernel {
  public:

@@ -1,11 +1,67 @@
 #include "pairwise/greedy_pair_balance.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace dlb::pairwise {
+
+namespace {
+
+/// Pools of at least this many jobs radix-sort their rank words; below it
+/// the bucket sweeps of a radix pass cost more than std::sort
+/// (closed_seq_churn's pools hold about 16 jobs, closed_parallel's 400).
+constexpr std::size_t kRadixMinPool = 128;
+constexpr unsigned kMaxDigitBits = 11;
+
+/// Sorts packed (key << 32 | job) words, keys at most `max_key`, ascending.
+void sort_rank_words(std::uint32_t max_key, PairScratch& s) {
+  std::vector<std::uint64_t>& words = s.rank_keys;
+  const std::size_t k = words.size();
+  const unsigned bits = static_cast<unsigned>(std::bit_width(max_key));
+  if (k < kRadixMinPool || bits == 0) {
+    std::sort(words.begin(), words.end());
+    return;
+  }
+  // LSD radix over the key bits only, in equal digits of at most 11 bits.
+  const unsigned passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const unsigned width = (bits + passes - 1) / passes;
+  const std::size_t buckets = std::size_t{1} << width;
+  const auto digit = [&](std::uint64_t word, unsigned d) {
+    return (word >> (32 + d * width)) & (buckets - 1);
+  };
+  s.counts.assign(passes * buckets, 0);
+  for (const std::uint64_t word : words) {
+    for (unsigned d = 0; d < passes; ++d) {
+      ++s.counts[d * buckets + digit(word, d)];
+    }
+  }
+  s.rank_tmp.resize(k);
+  for (unsigned d = 0; d < passes; ++d) {
+    std::uint32_t* count = s.counts.data() + d * buckets;
+    if (std::find(count, count + buckets, k) != count + buckets) continue;
+    std::uint32_t at = 0;
+    for (std::size_t v = 0; v < buckets; ++v) at += std::exchange(count[v], at);
+    for (const std::uint64_t word : words) {
+      s.rank_tmp[count[digit(word, d)]++] = word;
+    }
+    words.swap(s.rank_tmp);
+  }
+  // The passes are stable, so words of one key (exact duplicates) are still
+  // in gather order: put each such run in ascending job id.
+  for (std::size_t p = 0; p < k;) {
+    std::size_t q = p + 1;
+    while (q < k && (words[q] >> 32) == (words[p] >> 32)) ++q;
+    if (q - p > 1) std::sort(words.begin() + p, words.begin() + q);
+    p = q;
+  }
+}
+
+}  // namespace
 
 void sort_by_group_ratio(const Instance& instance, GroupId num, GroupId den,
                          std::vector<JobId>& pool) {
@@ -46,6 +102,40 @@ void sort_by_group_ratio_flat(const Instance& instance, GroupId num,
   pool.assign(scratch.tmp.begin(), scratch.tmp.end());
 }
 
+void ratio_sorted_pool(const Schedule& schedule, MachineId a, MachineId b,
+                       GroupId num, GroupId den, PairScratch& scratch) {
+  const Instance& instance = schedule.decision_instance();
+  const LoadTable::JobList on_a = schedule.jobs_on(a);
+  const LoadTable::JobList on_b = schedule.jobs_on(b);
+  const RatioRank* rank =
+      instance.num_groups() == 2
+          ? instance.ratio_rank(RatioRank::sort_work(on_a.size() + on_b.size()))
+          : nullptr;
+  if (rank == nullptr) {
+    pooled_jobs_into(schedule, a, b, scratch.pool);
+    sort_by_group_ratio_flat(instance, num, den, scratch.pool, scratch);
+    return;
+  }
+  // The (1, 0) order is the (0, 1) rank reversed; within a rank (exact
+  // duplicates) the job id in the low word keeps ascending id.
+  const std::span<const std::uint32_t> ranks = rank->ranks();
+  const std::uint32_t max_rank = rank->max_rank();
+  const bool reversed = num != 0;
+  std::vector<std::uint64_t>& words = scratch.rank_keys;
+  words.clear();
+  const auto gather = [&](JobId j) {
+    const std::uint32_t key = reversed ? max_rank - ranks[j] : ranks[j];
+    words.push_back(std::uint64_t{key} << 32 | j);
+  };
+  for (JobId j : on_a) gather(j);
+  for (JobId j : on_b) gather(j);
+  sort_rank_words(max_rank, scratch);
+  scratch.pool.resize(words.size());
+  for (std::size_t p = 0; p < words.size(); ++p) {
+    scratch.pool[p] = static_cast<JobId>(words[p]);
+  }
+}
+
 bool GreedyPairBalanceKernel::balance(Schedule& schedule, MachineId a,
                                       MachineId b) const {
   const Instance& instance = schedule.decision_instance();
@@ -61,8 +151,7 @@ bool GreedyPairBalanceKernel::balance(Schedule& schedule, MachineId a,
   const GroupId other = own == 0 ? 1 : 0;
 
   PairScratch& s = pair_scratch();
-  pooled_jobs_into(schedule, a, b, s.pool);
-  sort_by_group_ratio_flat(instance, own, other, s.pool, s);
+  ratio_sorted_pool(schedule, a, b, own, other, s);
 
   s.to_a.clear();
   s.to_b.clear();

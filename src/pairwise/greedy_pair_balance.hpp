@@ -27,6 +27,15 @@ void sort_by_group_ratio_flat(const Instance& instance, GroupId num,
                               GroupId den, std::vector<JobId>& pool,
                               PairScratch& scratch);
 
+/// Fills scratch.pool with the jobs of machines a and b in
+/// sort_by_group_ratio's (num, den) order over the schedule's decision
+/// instance: bitwise what pooled_jobs_into followed by
+/// sort_by_group_ratio_flat produce, which is the path it takes until that
+/// instance's ratio rank (core/ratio_rank.hpp) is built. With the rank, a
+/// pool is one sort of packed (rank key << 32 | job) words.
+void ratio_sorted_pool(const Schedule& schedule, MachineId a, MachineId b,
+                       GroupId num, GroupId den, PairScratch& scratch);
+
 class GreedyPairBalanceKernel final : public PairKernel {
  public:
   /// a and b must belong to the same group of a two-group instance.

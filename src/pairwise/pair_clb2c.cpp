@@ -2,6 +2,7 @@
 
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "pairwise/greedy_pair_balance.hpp"
 
@@ -11,9 +12,12 @@ namespace {
 
 /// The two-pointer dealing loop of Algorithm 5 over an already
 /// ratio-sorted pool (jobs favouring a's cluster first, b's last).
-void deal_sorted_pool(const Instance& instance, MachineId a, MachineId b,
-                      std::span<const JobId> pool, std::vector<JobId>& to_a,
-                      std::vector<JobId>& to_b) {
+/// Returns the loads of a and b: the sums of the dealt costs in order.
+std::pair<Cost, Cost> deal_sorted_pool(const Instance& instance, MachineId a,
+                                       MachineId b,
+                                       std::span<const JobId> pool,
+                                       std::vector<JobId>& to_a,
+                                       std::vector<JobId>& to_b) {
   to_a.clear();
   to_b.clear();
   Cost load_a = 0.0;
@@ -38,6 +42,7 @@ void deal_sorted_pool(const Instance& instance, MachineId a, MachineId b,
       --back;
     }
   }
+  return {load_a, load_b};
 }
 
 }  // namespace
@@ -59,14 +64,10 @@ bool PairClb2cKernel::balance(Schedule& schedule, MachineId a,
         "PairClb2cKernel: machines must be in different clusters");
   }
   PairScratch& s = pair_scratch();
-  pooled_jobs_into(schedule, a, b, s.pool);
-  sort_by_group_ratio_flat(instance, instance.group_of(a),
-                           instance.group_of(b), s.pool, s);
-  deal_sorted_pool(instance, a, b, s.pool, s.to_a, s.to_b);
-  Cost load_a = 0.0;
-  Cost load_b = 0.0;
-  for (JobId j : s.to_a) load_a += instance.cost(a, j);
-  for (JobId j : s.to_b) load_b += instance.cost(b, j);
+  ratio_sorted_pool(schedule, a, b, instance.group_of(a), instance.group_of(b),
+                    s);
+  const auto [load_a, load_b] =
+      deal_sorted_pool(instance, a, b, s.pool, s.to_a, s.to_b);
   if (split_is_load_neutral(schedule, a, b, load_a, load_b)) return false;
   return apply_split(schedule, a, b, s.to_a, s.to_b);
 }

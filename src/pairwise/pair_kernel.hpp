@@ -16,9 +16,10 @@
 namespace dlb::pairwise {
 
 /// Reusable per-thread scratch for the kernel hot path: the pooled-job
-/// buffer, the split outputs, and the flat key arrays the ratio-sort
-/// gathers group-cost columns into (contiguous, so the comparator reads
-/// sequential memory instead of striding the cost matrix). Kernels fetch
+/// buffer, the split outputs, the flat key arrays the comparator ratio
+/// sort gathers group-cost columns into (contiguous, so the comparator
+/// reads sequential memory instead of striding the cost matrix), and the
+/// packed (rank key << 32 | job) words of the ratio-rank path. Kernels fetch
 /// it via pair_scratch(); after a short warm-up the capacities cover the
 /// largest pool seen and a balance() call allocates nothing. Determinism
 /// is unaffected: every buffer is (re)filled from scratch per call, so
@@ -32,6 +33,8 @@ struct PairScratch {
   std::vector<std::uint32_t> counts;   ///< per-type bucket bounds
   std::vector<Cost> key_num;           ///< ratio-sort numerator column
   std::vector<Cost> key_den;           ///< ratio-sort denominator column
+  std::vector<std::uint64_t> rank_keys;  ///< ratio-rank pool words
+  std::vector<std::uint64_t> rank_tmp;   ///< ratio-rank radix buffer
 };
 
 /// The calling thread's scratch (thread_local — sessions on different
@@ -63,8 +66,10 @@ class PairKernel {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
-/// Collects the pooled jobs of a and b sorted by job id (the deterministic
-/// pool every kernel starts from).
+/// Collects the pooled jobs of a and b sorted by job id: the deterministic
+/// pool of every kernel that needs id order. The two ratio-sorting kernels
+/// start from ratio_sorted_pool (greedy_pair_balance.hpp) instead, whose
+/// comparator path begins with this id sort.
 [[nodiscard]] std::vector<JobId> pooled_jobs(const Schedule& schedule,
                                              MachineId a, MachineId b);
 

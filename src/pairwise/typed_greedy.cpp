@@ -40,7 +40,8 @@ bool TypedGreedyKernel::balance(Schedule& schedule, MachineId a,
     if (bucket.empty()) continue;
     // Each type is balanced from zero type-local load: Algorithm 2 on the
     // bucket alone (loads of other types are invisible by design).
-    basic_greedy_split(instance, a, b, bucket, to_a, to_b);
+    const auto [new_a, new_b] =
+        basic_greedy_split(instance, a, b, bucket, to_a, to_b);
     // Lazy no-op per type: skip when the bucket's type-local loads would
     // not change (counts on each side stay the same).
     Cost cur_a = 0.0;
@@ -52,10 +53,6 @@ bool TypedGreedyKernel::balance(Schedule& schedule, MachineId a,
         cur_b += instance.cost(b, j);
       }
     }
-    Cost new_a = 0.0;
-    Cost new_b = 0.0;
-    for (JobId j : to_a) new_a += instance.cost(a, j);
-    for (JobId j : to_b) new_b += instance.cost(b, j);
     // Tolerant comparison: the sums accumulate in different orders.
     const Cost scale = 1.0 + std::max({cur_a, cur_b, new_a, new_b});
     if (std::abs(cur_a - new_a) <= 1e-12 * scale &&

@@ -317,6 +317,47 @@ TEST(InstanceStore, OpenMappedRejectsUnknownGroupWithTypedError) {
   expect_field_error(file.path(), patched, "group_of");
 }
 
+TEST(InstanceStore, OpenMappedRejectsSectionBoundsThatWrap) {
+  // Header fields whose section end or size wraps past 2^64 into the file:
+  // an offset 64 bytes short of 2^64 under a 128-byte scales section (16
+  // machines) or a 320-byte costs section, and counts whose byte size is a
+  // multiple of 2^64.
+  constexpr std::size_t kNumMachinesAt = 16;
+  constexpr std::size_t kNumJobsAt = 32;
+  constexpr std::size_t kOffCostsAt = 96;
+  constexpr std::uint64_t kWrapOffset = ~std::uint64_t{63};
+  TempFile file("wrap.dlbi");
+  save_dlbi(gen::two_cluster_uniform(8, 8, 20, 1.0, 100.0, 7), file.path());
+  const std::string good = read_file(file.path());
+  struct Case {
+    std::size_t at;
+    std::uint64_t value;
+    std::string section;
+  };
+  for (const Case& c : {Case{kOffScalesAt, kWrapOffset, "scales"},
+                        Case{kOffCostsAt, kWrapOffset, "costs"},
+                        Case{kNumMachinesAt, std::uint64_t{1} << 62,
+                             "group_of"},
+                        Case{kNumJobsAt, std::uint64_t{1} << 61, "costs"}}) {
+    std::string patched = good;
+    write_at(patched, c.at, c.value);
+    {
+      std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    try {
+      (void)InstanceStore::open_mapped(file.path());
+      ADD_FAILURE() << "open_mapped accepted header field at " << c.at
+                    << " = " << c.value;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("section '" + c.section + "' out of bounds"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 // ----- fuzz: text -> binary -> mapped -> text over every regime -----
 //
 // For each check:: regime (including typed, stochastic, and degenerate
