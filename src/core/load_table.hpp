@@ -28,9 +28,17 @@
 //
 // Iteration order over a machine's jobs is the insertion order of the
 // current residents (most recently attached first). Nothing in the library
-// depends on that order: kernels sort their pooled jobs into a total order
-// (by id, or by ratio with id tie-breaks), and all consistency checks are
-// order-insensitive.
+// depends on that order. The readers of row order, audited:
+//   * the pair kernels gather both rows with pairwise::for_each_pooled_job
+//     and sort the pool into a total order (by id, or by ratio rank or
+//     ratio with id tie-breaks), so the walk order never shows;
+//   * churn's residents_sorted and TransportRunner::sorted_jobs sort by id;
+//   * local_search's sorted_jobs_on sorts by id;
+//   * the open engine's start_next takes the FIFO minimum over
+//     (arrival time, job id), a total order;
+//   * Schedule::check_consistency compares its per-row sums within a
+//     tolerance and counts membership, so order cannot flip its answer.
+// Loads are accumulators of the attach/detach sequence, not of row order.
 
 #include <atomic>
 #include <cstddef>

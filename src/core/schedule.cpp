@@ -118,13 +118,11 @@ void Schedule::assign(JobId j, MachineId i) {
   if (decision_instance_) decision_loads_[i] += decision_instance_->cost(i, j);
 }
 
-void Schedule::move(JobId j, MachineId to) {
-  const MachineId from = assignment_.machine_of(j);
+bool Schedule::relocate(JobId j, MachineId from, MachineId to) {
   if (from == kUnassigned) {
     assign(j, to);
-    return;
+    return false;
   }
-  if (from == to) return;
   table_.detach(j, from, instance_->cost(from, j));
   assignment_.assign(j, to);
   table_.attach(j, to, instance_->cost(to, j), /*migrated=*/true);
@@ -132,7 +130,38 @@ void Schedule::move(JobId j, MachineId to) {
     decision_loads_[from] -= decision_instance_->cost(from, j);
     decision_loads_[to] += decision_instance_->cost(to, j);
   }
-  migrations_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void Schedule::move(JobId j, MachineId to) {
+  const MachineId from = assignment_.machine_of(j);
+  if (from == to) return;
+  if (relocate(j, from, to)) {
+    migrations_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+bool Schedule::move_split(MachineId a, std::span<const JobId> to_a,
+                          MachineId b, std::span<const JobId> to_b) {
+  bool changed = false;
+  std::uint64_t migrated = 0;
+  const auto deliver = [&](std::span<const JobId> jobs, MachineId to) {
+    for (const JobId j : jobs) {
+      const MachineId from = assignment_.machine_of(j);
+      if (from == to) continue;
+      changed = true;
+      migrated += relocate(j, from, to) ? 1 : 0;
+    }
+  };
+  deliver(to_a, a);
+  deliver(to_b, b);
+  // One locked add per split rather than one per move: a locked add drains
+  // the store buffer, which kept consecutive moves' cache misses from
+  // overlapping.
+  if (migrated != 0) {
+    migrations_.fetch_add(migrated, std::memory_order_relaxed);
+  }
+  return changed;
 }
 
 void Schedule::unassign(JobId j) {

@@ -125,6 +125,14 @@ class Schedule {
   /// Reassigns job j to machine `to` (no-op if already there).
   void move(JobId j, MachineId to);
 
+  /// move(j, a) for every job of `to_a` in order, then move(j, b) for every
+  /// job of `to_b`: the same load updates in the same order, but the split's
+  /// migrations reach migrations() in one relaxed add after both loops.
+  /// Returns true iff any job's machine changed (placements of unassigned
+  /// jobs included). The pair kernels' apply_split.
+  bool move_split(MachineId a, std::span<const JobId> to_a, MachineId b,
+                  std::span<const JobId> to_b);
+
   /// Removes job j from its machine (becomes unassigned).
   void unassign(JobId j);
 
@@ -138,7 +146,8 @@ class Schedule {
   /// Number of effective job migrations so far: every move() that changed
   /// a job's machine (assign/unassign excluded). The decentralized setting
   /// cares about this as a proxy for network usage (the paper's conclusion
-  /// singles out minimizing the number of tasks exchanged).
+  /// singles out minimizing the number of tasks exchanged). move_split()
+  /// adds a whole split at once, so read it between kernel calls.
   [[nodiscard]] std::uint64_t migrations() const noexcept {
     return migrations_.load(std::memory_order_relaxed);
   }
@@ -184,6 +193,11 @@ class Schedule {
   [[nodiscard]] bool check_consistency(double tol = 1e-6) const;
 
  private:
+  /// move()'s body for a job currently on `from` (!= to), without the
+  /// migration count: places an unassigned job, else detaches and
+  /// reattaches it. Returns true iff that was a migration.
+  bool relocate(JobId j, MachineId from, MachineId to);
+
   const Instance* instance_;
   std::shared_ptr<const Instance> decision_instance_;
   /// Per-machine loads in decision-instance costs; empty when no

@@ -151,7 +151,7 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   }
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderSize + frame.payload.size());
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
+  for (const std::uint8_t byte : kMagic) out.push_back(byte);
   out.push_back(kFrameVersion);
   out.push_back(static_cast<std::uint8_t>(frame.type));
   put_u16(out, 0);

@@ -12,9 +12,9 @@ PairScratch& pair_scratch() noexcept {
 
 void pooled_jobs_into(const Schedule& schedule, MachineId a, MachineId b,
                       std::vector<JobId>& pool) {
-  pool.clear();
-  for (JobId j : schedule.jobs_on(a)) pool.push_back(j);
-  for (JobId j : schedule.jobs_on(b)) pool.push_back(j);
+  pool.resize(schedule.jobs_on(a).size() + schedule.jobs_on(b).size());
+  JobId* out = pool.data();
+  for_each_pooled_job(schedule, a, b, [&](JobId j) { *out++ = j; });
   std::sort(pool.begin(), pool.end());
 }
 
@@ -45,20 +45,7 @@ bool split_is_load_neutral(const Schedule& schedule, MachineId a, MachineId b,
 bool apply_split(Schedule& schedule, MachineId a, MachineId b,
                  const std::vector<JobId>& to_a,
                  const std::vector<JobId>& to_b) {
-  bool changed = false;
-  for (JobId j : to_a) {
-    if (schedule.machine_of(j) != a) {
-      schedule.move(j, a);
-      changed = true;
-    }
-  }
-  for (JobId j : to_b) {
-    if (schedule.machine_of(j) != b) {
-      schedule.move(j, b);
-      changed = true;
-    }
-  }
-  return changed;
+  return schedule.move_split(a, to_a, b, to_b);
 }
 
 std::pair<Cost, Cost> basic_greedy_split(const Instance& instance,

@@ -105,12 +105,11 @@ void sort_by_group_ratio_flat(const Instance& instance, GroupId num,
 void ratio_sorted_pool(const Schedule& schedule, MachineId a, MachineId b,
                        GroupId num, GroupId den, PairScratch& scratch) {
   const Instance& instance = schedule.decision_instance();
-  const LoadTable::JobList on_a = schedule.jobs_on(a);
-  const LoadTable::JobList on_b = schedule.jobs_on(b);
-  const RatioRank* rank =
-      instance.num_groups() == 2
-          ? instance.ratio_rank(RatioRank::sort_work(on_a.size() + on_b.size()))
-          : nullptr;
+  const std::size_t k =
+      schedule.jobs_on(a).size() + schedule.jobs_on(b).size();
+  const RatioRank* rank = instance.num_groups() == 2
+                              ? instance.ratio_rank(RatioRank::sort_work(k))
+                              : nullptr;
   if (rank == nullptr) {
     pooled_jobs_into(schedule, a, b, scratch.pool);
     sort_by_group_ratio_flat(instance, num, den, scratch.pool, scratch);
@@ -122,13 +121,12 @@ void ratio_sorted_pool(const Schedule& schedule, MachineId a, MachineId b,
   const std::uint32_t max_rank = rank->max_rank();
   const bool reversed = num != 0;
   std::vector<std::uint64_t>& words = scratch.rank_keys;
-  words.clear();
-  const auto gather = [&](JobId j) {
+  words.resize(k);
+  std::uint64_t* out = words.data();
+  for_each_pooled_job(schedule, a, b, [&](JobId j) {
     const std::uint32_t key = reversed ? max_rank - ranks[j] : ranks[j];
-    words.push_back(std::uint64_t{key} << 32 | j);
-  };
-  for (JobId j : on_a) gather(j);
-  for (JobId j : on_b) gather(j);
+    *out++ = std::uint64_t{key} << 32 | j;
+  });
   sort_rank_words(max_rank, scratch);
   scratch.pool.resize(words.size());
   for (std::size_t p = 0; p < words.size(); ++p) {

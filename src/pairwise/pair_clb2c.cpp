@@ -13,13 +13,24 @@ namespace {
 /// The two-pointer dealing loop of Algorithm 5 over an already
 /// ratio-sorted pool (jobs favouring a's cluster first, b's last).
 /// Returns the loads of a and b: the sums of the dealt costs in order.
+/// cost(a, ·) and cost(b, ·) of the pool are read into the scratch columns
+/// first, as independent loads; the loop then reads only the columns.
 std::pair<Cost, Cost> deal_sorted_pool(const Instance& instance, MachineId a,
                                        MachineId b,
                                        std::span<const JobId> pool,
                                        std::vector<JobId>& to_a,
-                                       std::vector<JobId>& to_b) {
+                                       std::vector<JobId>& to_b,
+                                       PairScratch& scratch) {
   to_a.clear();
   to_b.clear();
+  std::vector<Cost>& cost_a = scratch.cost_a;
+  std::vector<Cost>& cost_b = scratch.cost_b;
+  cost_a.resize(pool.size());
+  cost_b.resize(pool.size());
+  for (std::size_t p = 0; p < pool.size(); ++p) {
+    cost_a[p] = instance.cost(a, pool[p]);
+    cost_b[p] = instance.cost(b, pool[p]);
+  }
   Cost load_a = 0.0;
   Cost load_b = 0.0;
   std::size_t front = 0;
@@ -27,8 +38,8 @@ std::pair<Cost, Cost> deal_sorted_pool(const Instance& instance, MachineId a,
   while (front < back) {
     const JobId jf = pool[front];
     const JobId jb = pool[back - 1];
-    const Cost completion_a = load_a + instance.cost(a, jf);
-    const Cost completion_b = load_b + instance.cost(b, jb);
+    const Cost completion_a = load_a + cost_a[front];
+    const Cost completion_b = load_b + cost_b[back - 1];
     // Place whichever choice yields the smaller completion time on its
     // machine (Algorithm 5's selection rule). When only one job remains,
     // jf == jb and the same comparison picks its better side.
@@ -53,7 +64,7 @@ void pair_clb2c_split(const Instance& instance, MachineId a, MachineId b,
   // Jobs that favour a's cluster come first, jobs that favour b's come last.
   sort_by_group_ratio(instance, instance.group_of(a), instance.group_of(b),
                       pool);
-  deal_sorted_pool(instance, a, b, pool, to_a, to_b);
+  deal_sorted_pool(instance, a, b, pool, to_a, to_b, pair_scratch());
 }
 
 bool PairClb2cKernel::balance(Schedule& schedule, MachineId a,
@@ -67,7 +78,7 @@ bool PairClb2cKernel::balance(Schedule& schedule, MachineId a,
   ratio_sorted_pool(schedule, a, b, instance.group_of(a), instance.group_of(b),
                     s);
   const auto [load_a, load_b] =
-      deal_sorted_pool(instance, a, b, s.pool, s.to_a, s.to_b);
+      deal_sorted_pool(instance, a, b, s.pool, s.to_a, s.to_b, s);
   if (split_is_load_neutral(schedule, a, b, load_a, load_b)) return false;
   return apply_split(schedule, a, b, s.to_a, s.to_b);
 }

@@ -16,10 +16,14 @@
 namespace dlb::pairwise {
 
 /// Reusable per-thread scratch for the kernel hot path: the pooled-job
-/// buffer, the split outputs, the flat key arrays the comparator ratio
-/// sort gathers group-cost columns into (contiguous, so the comparator
-/// reads sequential memory instead of striding the cost matrix), and the
-/// packed (rank key << 32 | job) words of the ratio-rank path. Kernels fetch
+/// buffer (filled by for_each_pooled_job), the split outputs, the flat key
+/// arrays the comparator ratio sort gathers group-cost columns into
+/// (contiguous, so the comparator reads sequential memory instead of
+/// striding the cost matrix), the packed (rank key << 32 | job) words of
+/// the ratio-rank path, and the two cost columns the Algorithm 5 deal reads
+/// cost(a, j) and cost(b, j) of the sorted pool into before it deals (one
+/// pass of independent loads, where the deal alone would issue each load
+/// only after the previous comparison resolved). Kernels fetch
 /// it via pair_scratch(); after a short warm-up the capacities cover the
 /// largest pool seen and a balance() call allocates nothing. Determinism
 /// is unaffected: every buffer is (re)filled from scratch per call, so
@@ -35,6 +39,8 @@ struct PairScratch {
   std::vector<Cost> key_den;           ///< ratio-sort denominator column
   std::vector<std::uint64_t> rank_keys;  ///< ratio-rank pool words
   std::vector<std::uint64_t> rank_tmp;   ///< ratio-rank radix buffer
+  std::vector<Cost> cost_a;            ///< deal column: cost(a, pool[p])
+  std::vector<Cost> cost_b;            ///< deal column: cost(b, pool[p])
 };
 
 /// The calling thread's scratch (thread_local — sessions on different
@@ -66,6 +72,29 @@ class PairKernel {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
+/// Calls visit(j) once for every job on machine a or b, in unspecified
+/// order. The walker steps a's and b's linked rows (core/load_table.hpp) in
+/// lockstep: each step of a row waits on the link it read before, a likely
+/// cache miss on large instances, and walking the two rows side by side
+/// keeps two such misses in flight instead of one. Every caller sorts what
+/// it gathers into a total order, so the visit order never shows.
+template <class Visit>
+void for_each_pooled_job(const Schedule& schedule, MachineId a, MachineId b,
+                         Visit&& visit) {
+  const LoadTable::JobList on_a = schedule.jobs_on(a);
+  const LoadTable::JobList on_b = schedule.jobs_on(b);
+  auto at_a = on_a.begin();
+  auto at_b = on_b.begin();
+  while (at_a != on_a.end() && at_b != on_b.end()) {
+    visit(*at_a);
+    visit(*at_b);
+    ++at_a;
+    ++at_b;
+  }
+  for (; at_a != on_a.end(); ++at_a) visit(*at_a);
+  for (; at_b != on_b.end(); ++at_b) visit(*at_b);
+}
+
 /// Collects the pooled jobs of a and b sorted by job id: the deterministic
 /// pool of every kernel that needs id order. The two ratio-sorting kernels
 /// start from ratio_sorted_pool (greedy_pair_balance.hpp) instead, whose
@@ -79,7 +108,8 @@ void pooled_jobs_into(const Schedule& schedule, MachineId a, MachineId b,
                       std::vector<JobId>& pool);
 
 /// Applies a computed split: every job in `to_a` moves to a, every job in
-/// `to_b` moves to b. Returns true iff any job actually moved.
+/// `to_b` moves to b (Schedule::move_split, so the split's migrations are
+/// counted in one add). Returns true iff any job actually moved.
 bool apply_split(Schedule& schedule, MachineId a, MachineId b,
                  const std::vector<JobId>& to_a,
                  const std::vector<JobId>& to_b);

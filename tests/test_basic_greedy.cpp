@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "pairwise/pairwise_optimal.hpp"
@@ -113,6 +114,40 @@ TEST(PairHelpers, ApplySplitReportsChanges) {
   EXPECT_FALSE(apply_split(s, 0, 1, {0, 1}, {}));   // already there
   EXPECT_TRUE(apply_split(s, 0, 1, {0}, {1}));      // moves job 1
   EXPECT_EQ(s.machine_of(1), 1u);
+}
+
+TEST(Schedule, ApplySplitCountsOnlyTrueMoves) {
+  // Three machines, seven jobs: 0-2 on machine 0, 3-4 on 1, 5 on 2, and 6
+  // unassigned. The split keeps 0 and 3 home, moves 1, 4 and 5, and places
+  // 6. Only the three moves are migrations, as with one move() per job.
+  const Instance inst = gen::uniform_unrelated(3, 7, 1.0, 10.0, 61);
+  Assignment assignment(7);
+  const std::vector<MachineId> home = {0, 0, 0, 1, 1, 2};
+  for (JobId j = 0; j < home.size(); ++j) assignment.assign(j, home[j]);
+  Schedule split(inst, assignment);
+  Schedule one_by_one(inst, assignment);
+  split.move(2, 1);  // earlier migrations are kept
+  one_by_one.move(2, 1);
+  const std::vector<JobId> to_a = {0, 4, 6};
+  const std::vector<JobId> to_b = {1, 3, 5};
+
+  EXPECT_TRUE(apply_split(split, 0, 1, to_a, to_b));
+  for (const JobId j : to_a) one_by_one.move(j, 0);
+  for (const JobId j : to_b) one_by_one.move(j, 1);
+  EXPECT_EQ(split.migrations(), 1u + 3u);
+  EXPECT_EQ(split.migrations(), one_by_one.migrations());
+  for (MachineId i = 0; i < 3; ++i) {
+    EXPECT_EQ(split.arrivals(i), one_by_one.arrivals(i)) << "machine " << i;
+    EXPECT_EQ(split.load(i), one_by_one.load(i)) << "machine " << i;
+  }
+  EXPECT_EQ(split.assignment(), one_by_one.assignment());
+  EXPECT_EQ(split.arrivals(0), 1u);  // job 4; placing job 6 is no arrival
+  EXPECT_EQ(split.arrivals(1), 3u);  // jobs 2, 1 and 5
+  EXPECT_TRUE(split.check_consistency());
+
+  // The same split again moves nothing and counts nothing.
+  EXPECT_FALSE(apply_split(split, 0, 1, to_a, to_b));
+  EXPECT_EQ(split.migrations(), 4u);
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(CaseGen, RegimeNamesRoundTrip) {
     const Regime regime = make_case(1, index).regime;
     EXPECT_EQ(regime_by_name(regime_name(regime)), regime);
   }
-  EXPECT_THROW(regime_by_name("no-such-regime"), std::invalid_argument);
+  EXPECT_THROW((void)regime_by_name("no-such-regime"), std::invalid_argument);
 }
 
 TEST(Suite, SmallSweepPassesEveryOracle) {

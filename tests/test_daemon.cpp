@@ -105,8 +105,8 @@ TEST(Daemon, MetricsReplyCarriesSocketAndUptimeSeries) {
   ASSERT_NE(uptime, nullptr);
   EXPECT_GE(uptime->as_number(), 0.0);
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, ScrapeReturnsPrometheusExposition) {
@@ -121,8 +121,8 @@ TEST(Daemon, ScrapeReturnsPrometheusExposition) {
       << body;
   EXPECT_NE(body.find("dlb_daemon_uptime_seconds"), std::string::npos);
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, FlightAndTraceExportsParse) {
@@ -146,8 +146,8 @@ TEST(Daemon, FlightAndTraceExportsParse) {
   ASSERT_NE(events, nullptr);
   EXPECT_GT(events->as_array().size(), 0u);
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, TraceCommandFailsCleanlyWhenTracingIsOff) {
@@ -159,8 +159,8 @@ TEST(Daemon, TraceCommandFailsCleanlyWhenTracingIsOff) {
   const std::string reply = pair.a->execute("trace");
   EXPECT_EQ(reply.rfind("error: ", 0), 0u) << reply;
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, CommandsAfterShutdownAreRefused) {
@@ -179,7 +179,7 @@ TEST(Daemon, CommandsAfterShutdownAreRefused) {
         << command;
   }
 
-  pair.b->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, ServeAnswersCommandsThatArriveWithTheEof) {
@@ -230,8 +230,8 @@ TEST(Daemon, HostileAdoptIsRefusedAndTheDaemonKeepsServing) {
   EXPECT_EQ(status.rfind("state done\n", 0), 0u) << status;
   EXPECT_EQ(status.substr(status.size() - 3), "ok\n");
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, HelpStatusAndJobsRepliesArePinned) {
@@ -253,8 +253,8 @@ TEST(Daemon, HelpStatusAndJobsRepliesArePinned) {
   EXPECT_EQ(digest.value(), 0x1E6C72C68FE2B903ULL)
       << "digest 0x" << std::hex << digest.value();
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 }  // namespace

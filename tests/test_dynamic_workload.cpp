@@ -31,7 +31,7 @@ TEST(DynamicWorkload, RejectsChurnAboveTheActiveSet) {
   options.churn_per_epoch = 17;
   options.epochs = 2;
   try {
-    run_dynamic(inst, kernel, options);
+    (void)run_dynamic(inst, kernel, options);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
@@ -48,7 +48,7 @@ TEST(DynamicWorkload, UndersizedPoolErrorNamesTheField) {
   options.churn_per_epoch = 4;
   options.epochs = 3;
   try {
-    run_dynamic(tiny, kernel, options);
+    (void)run_dynamic(tiny, kernel, options);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),

@@ -40,7 +40,7 @@ TEST(FaultPlan, ByNameCoversEveryPlanAndRejectsUnknown) {
             0.0);
   EXPECT_GT(fault_plan_by_name("reorder", 0.5, 1).reorder_probability, 0.0);
   EXPECT_FALSE(fault_plan_by_name("chaos", 0.5, 1).trivial());
-  EXPECT_THROW(fault_plan_by_name("gremlins", 0.5, 1),
+  EXPECT_THROW((void)fault_plan_by_name("gremlins", 0.5, 1),
                std::invalid_argument);
 }
 

@@ -1,6 +1,7 @@
 // Tests for the two-cluster pair kernels: Greedy Load Balancing
-// (Algorithm 6) and pair CLB2C (Algorithm 5 on {m}, {i}), and the ratio
-// rank their pools are sorted by (core/ratio_rank.hpp).
+// (Algorithm 6) and pair CLB2C (Algorithm 5 on {m}, {i}), the ratio rank
+// their pools are sorted by (core/ratio_rank.hpp), and the row walk every
+// kernel gathers its pool with.
 
 #include "pairwise/greedy_pair_balance.hpp"
 #include "pairwise/pair_clb2c.hpp"
@@ -14,12 +15,14 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <string>
 #include <thread>
 
 #include "core/generators.hpp"
 #include "core/instance_store.hpp"
+#include "pairwise/kernel_registry.hpp"
 #include "pairwise/pairwise_optimal.hpp"
 #include "stats/rng.hpp"
 
@@ -403,6 +406,92 @@ TEST(RatioRank, OneBuildIsPublishedToEveryPoolWorker) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
     EXPECT_NE(seen[t], nullptr) << "thread " << t;
     EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+}
+
+// ----- the shared row walk -----
+
+/// Two-cluster instance ({2, 2} machines) with real-valued costs and one
+/// type per job. With `refuse_rank`, jobs 0 and 1 get equal ratios from
+/// different costs, (2, 4) and (1, 2), so the rank guard refuses the
+/// instance; otherwise the rank is built before any kernel runs.
+Instance walk_instance(std::size_t jobs, bool refuse_rank) {
+  const Instance base = gen::two_cluster_uniform(2, 2, jobs, 1.0, 1000.0, 51);
+  std::vector<Cost> row0(base.group_row(0).begin(), base.group_row(0).end());
+  std::vector<Cost> row1(base.group_row(1).begin(), base.group_row(1).end());
+  if (refuse_rank) {
+    row0[0] = 2.0;
+    row1[0] = 4.0;
+    row0[1] = 1.0;
+    row1[1] = 2.0;
+  }
+  Instance inst = Instance::clustered({2, 2}, {row0, row1});
+  inst.infer_job_types();
+  return inst;
+}
+
+TEST(PairKernels, PoolIgnoresRowLinkOrder) {
+  // Two schedules with one assignment, attached in opposite job orders, so
+  // every machine's linked row runs the other way round. The accumulators
+  // are then overwritten with one set of bits: only the row order differs.
+  // Every kernel must split, load and fingerprint them identically, for
+  // pools above and below the radix cutoff (about 400 and 12 jobs per
+  // pair), with the ratio rank built and refused.
+  const std::vector<std::pair<MachineId, MachineId>> pairs = {
+      {0, 1}, {2, 3}, {0, 2}, {3, 1}, {1, 2}, {2, 0}, {1, 0}, {3, 2}};
+  const KernelRegistry& registry = kernel_registry();
+  std::map<std::string, int> balanced;
+  for (const std::size_t jobs : {800u, 24u}) {
+    for (const bool refuse_rank : {false, true}) {
+      const Instance inst = walk_instance(jobs, refuse_rank);
+      ASSERT_EQ(build_rank(inst) == nullptr, refuse_rank);
+      const Assignment assignment = gen::random_assignment(inst, 52);
+      for (const std::string& name : registry.names()) {
+        SCOPED_TRACE(name + " jobs=" + std::to_string(jobs) +
+                     (refuse_rank ? " rank refused" : " rank built"));
+        Schedule forward(inst, assignment);
+        Schedule backward(inst);
+        for (JobId j = static_cast<JobId>(inst.num_jobs()); j-- > 0;) {
+          backward.assign(j, assignment.machine_of(j));
+        }
+        std::vector<Cost> loads(forward.num_machines());
+        for (MachineId i = 0; i < loads.size(); ++i) loads[i] = forward.load(i);
+        backward.restore_loads(loads);
+        ASSERT_NE(*forward.jobs_on(0).begin(), *backward.jobs_on(0).begin());
+
+        const PairKernel& kernel = registry.get(name);
+        kernel.prepare(forward);
+        kernel.prepare(backward);
+        for (int round = 0; round < 2; ++round) {
+          for (const auto& [a, b] : pairs) {
+            bool changed = false;
+            try {
+              changed = kernel.balance(forward, a, b);
+            } catch (const std::invalid_argument&) {
+              // Outside the kernel's domain (cluster roles, pool size).
+              EXPECT_THROW(kernel.balance(backward, a, b),
+                           std::invalid_argument);
+              continue;
+            }
+            const std::vector<JobId> to_a = pair_scratch().to_a;
+            const std::vector<JobId> to_b = pair_scratch().to_b;
+            EXPECT_EQ(kernel.balance(backward, a, b), changed);
+            EXPECT_EQ(pair_scratch().to_a, to_a);
+            EXPECT_EQ(pair_scratch().to_b, to_b);
+            for (MachineId i = 0; i < forward.num_machines(); ++i) {
+              EXPECT_EQ(forward.load(i), backward.load(i)) << "machine " << i;
+            }
+            EXPECT_EQ(forward.fingerprint(), backward.fingerprint());
+            EXPECT_EQ(forward.migrations(), backward.migrations());
+            ++balanced[name];
+          }
+        }
+      }
+    }
+  }
+  // Every registered kernel ran somewhere in its domain.
+  for (const std::string& name : registry.names()) {
+    EXPECT_GT(balanced[name], 0) << name;
   }
 }
 

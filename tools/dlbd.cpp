@@ -4,8 +4,8 @@
 // stdin/stdout (see src/daemon/daemon.hpp for the command table and
 // tools/dlb_cluster.py for the launcher that orchestrates a cluster).
 //
-//   dlbd --in instance.inst \
-//        --hosts unix:/tmp/a.sock=0-3,unix:/tmp/b.sock=4-7 --self 1 \
+//   dlbd --in instance.inst
+//        --hosts unix:/tmp/a.sock=0-3,unix:/tmp/b.sock=4-7 --self 1
 //        [--alg dlb2c] [--seed 1] [--rounds 10] [--retry-timeout 0.5]
 //        [--connect-timeout 15] [--fault none|drop|delay|duplicate|
 //        reorder|chaos --fault-p P --fault-seed S]
