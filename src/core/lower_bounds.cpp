@@ -21,13 +21,6 @@ Cost min_work_bound(const Instance& instance) {
 }
 
 Cost two_cluster_fractional_opt(const Instance& instance) {
-  std::vector<JobId> all(instance.num_jobs());
-  std::iota(all.begin(), all.end(), 0);
-  return two_cluster_fractional_opt(instance, all);
-}
-
-Cost two_cluster_fractional_opt(const Instance& instance,
-                                std::span<const JobId> jobs) {
   if (instance.num_groups() != 2 || !instance.unit_scales()) {
     throw std::invalid_argument(
         "two_cluster_fractional_opt: needs two clusters with unit scales");
@@ -37,7 +30,8 @@ Cost two_cluster_fractional_opt(const Instance& instance,
   const auto m2 =
       static_cast<double>(instance.machines_in_group(1).size());
 
-  std::vector<JobId> order(jobs.begin(), jobs.end());
+  std::vector<JobId> order(instance.num_jobs());
+  std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
     // Increasing p1/p2 ratio == cross-multiplied to avoid division.
     return instance.group_cost(0, a) * instance.group_cost(1, b) <

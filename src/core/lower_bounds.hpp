@@ -5,8 +5,6 @@
 // solver, and the tests use them to sanity-check every heuristic (no
 // algorithm may ever beat a lower bound).
 
-#include <span>
-
 #include "core/instance.hpp"
 #include "core/types.hpp"
 
@@ -26,11 +24,6 @@ namespace dlb {
 /// knapsack argument). Requires num_groups() == 2 and unit scales; throws
 /// std::invalid_argument otherwise. A valid lower bound on the integral OPT.
 [[nodiscard]] Cost two_cluster_fractional_opt(const Instance& instance);
-
-/// Same, restricted to a subset of the jobs (the dynamic-workload simulator
-/// bounds the currently active job set with this).
-[[nodiscard]] Cost two_cluster_fractional_opt(const Instance& instance,
-                                              std::span<const JobId> jobs);
 
 /// Best available combination of the bounds above for the given instance
 /// shape (uses the fractional bound when the instance is a two-cluster one).

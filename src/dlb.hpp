@@ -37,7 +37,6 @@
 #include "dist/convergence.hpp"               // IWYU pragma: export
 #include "dist/dlb2c.hpp"                     // IWYU pragma: export
 #include "dist/dlbkc.hpp"                     // IWYU pragma: export
-#include "dist/dynamic_workload.hpp"          // IWYU pragma: export
 #include "dist/exchange_engine.hpp"           // IWYU pragma: export
 #include "dist/mjtb.hpp"                      // IWYU pragma: export
 #include "dist/ojtb.hpp"                      // IWYU pragma: export

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -118,17 +119,12 @@ stats::Json merge_metrics_snapshots(
 bool metric_is_volatile(std::string_view name) noexcept {
   if (name.rfind("net.socket.", 0) == 0) return true;
   if (name == "daemon.uptime_seconds") return true;
-  static constexpr std::string_view kVolatileSuffixes[] = {
-      ".retries", ".retransmits", ".duplicates", ".transfers_sent",
-      ".frames_sent"};
-  for (const std::string_view suffix : kVolatileSuffixes) {
-    if (name.size() >= suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      return true;
-    }
-  }
-  return false;
+  // Exact names: a suffix rule would also catch deterministic counters
+  // such as parexchange.retries.
+  static constexpr std::string_view kVolatileNames[] = {
+      "dist.transport.retries", "dist.transport.duplicates",
+      "dist.transport.transfers_sent", "dist.transport.frames_sent"};
+  return std::ranges::find(kVolatileNames, name) != std::end(kVolatileNames);
 }
 
 stats::Json stable_cluster_view(const stats::Json& snapshot) {

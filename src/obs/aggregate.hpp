@@ -34,8 +34,8 @@ namespace dlb::obs {
     const std::vector<stats::Json>& snapshots);
 
 /// True for metric names whose values depend on wall-clock timing rather
-/// than the deterministic plan (net.socket.*, retransmit/duplicate
-/// counters, uptime).
+/// than the deterministic plan (net.socket.*, the transport's retry,
+/// duplicate, transfer and frame counters, uptime).
 [[nodiscard]] bool metric_is_volatile(std::string_view name) noexcept;
 
 /// Deterministic projection of a snapshot (merged or per-daemon): drops

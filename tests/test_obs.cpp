@@ -386,6 +386,8 @@ TEST(Aggregate, VolatileNamesAreClassified) {
   EXPECT_FALSE(metric_is_volatile("dist.transport.sessions"));
   EXPECT_FALSE(metric_is_volatile("dist.transport.migrations"));
   EXPECT_FALSE(metric_is_volatile("dist.transport.exchanges"));
+  EXPECT_TRUE(metric_is_volatile("dist.transport.transfers_sent"));
+  EXPECT_FALSE(metric_is_volatile("parexchange.retries"));
 }
 
 TEST(Aggregate, StableViewDropsTimingDependentSeries) {
