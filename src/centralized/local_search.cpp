@@ -20,17 +20,6 @@ struct RestMax {
   }
 };
 
-/// Materializes a machine's jobs sorted by id: the candidate enumeration
-/// below breaks ties by first-seen order, so iterating in id order keeps
-/// the search deterministic regardless of the LoadTable's list order.
-std::vector<JobId> sorted_jobs_on(const Schedule& schedule, MachineId i) {
-  std::vector<JobId> jobs;
-  jobs.reserve(schedule.jobs_on(i).size());
-  for (JobId j : schedule.jobs_on(i)) jobs.push_back(j);
-  std::sort(jobs.begin(), jobs.end());
-  return jobs;
-}
-
 RestMax rest_max_loads(const Schedule& schedule, MachineId max_machine) {
   RestMax rest;
   for (MachineId i = 0; i < schedule.num_machines(); ++i) {
@@ -71,6 +60,8 @@ LocalSearchResult local_search_improve(Schedule& schedule,
     };
     Action best{max_load, 0, 0, kUnassigned};
 
+    // Candidates break ties by first-seen order, so both rows are walked
+    // in id order to keep the search independent of the row order.
     const std::vector<JobId> on_max = sorted_jobs_on(schedule, max_machine);
     for (JobId j : on_max) {
       const Cost relieved = max_load - instance.cost(max_machine, j);
@@ -84,7 +75,7 @@ LocalSearchResult local_search_improve(Schedule& schedule,
           best = {moved, j, i, kUnassigned};
         }
         if (!options.allow_swaps) continue;
-        // Swap j against each job k on i (id order, see sorted_jobs_on).
+        // Swap j against each job k on i, in id order.
         for (JobId k : sorted_jobs_on(schedule, i)) {
           const Cost new_max =
               relieved + instance.cost(max_machine, k);

@@ -104,6 +104,34 @@ Instance::Instance(Borrowed, const Cost* costs, const GroupId* group_of,
                            " but the scales section says " +
                            (all_unit ? "1" : "0"));
   }
+  if (types_ != nullptr) {
+    // set_job_types's rule for text instances: ids dense below the count.
+    if (num_job_types_ > num_jobs_) {
+      throw InstanceFieldError(
+          "num_job_types", std::to_string(num_job_types_) + " types for " +
+                               std::to_string(num_jobs_) + " jobs");
+    }
+    std::vector<bool> seen(num_job_types_, false);
+    std::size_t distinct = 0;
+    for (std::size_t j = 0; j < num_jobs_; ++j) {
+      const JobTypeId t = types_[j];
+      if (t >= num_job_types_) {
+        throw InstanceFieldError(
+            "types", "job " + std::to_string(j) + " has type " +
+                         std::to_string(t) + " of " +
+                         std::to_string(num_job_types_));
+      }
+      if (!seen[t]) {
+        seen[t] = true;
+        ++distinct;
+      }
+    }
+    if (distinct != num_job_types_) {
+      throw InstanceFieldError(
+          "types", "type ids must be dense: " + std::to_string(distinct) +
+                       " of " + std::to_string(num_job_types_) + " used");
+    }
+  }
   build_machines_by_group();
 }
 

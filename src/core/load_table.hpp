@@ -32,8 +32,8 @@
 //   * the pair kernels gather both rows with pairwise::for_each_pooled_job
 //     and sort the pool into a total order (by id, or by ratio rank or
 //     ratio with id tie-breaks), so the walk order never shows;
-//   * churn's residents_sorted and TransportRunner::sorted_jobs sort by id;
-//   * local_search's sorted_jobs_on sorts by id;
+//   * churn, local search and TransportRunner::sorted_jobs read rows
+//     through sorted_jobs_on (core/schedule.hpp), which sorts by id;
 //   * the open engine's start_next takes the FIFO minimum over
 //     (arrival time, job id), a total order;
 //   * Schedule::check_consistency compares its per-row sums within a

@@ -226,4 +226,13 @@ bool Schedule::check_consistency(double tol) const {
   return true;
 }
 
+std::vector<JobId> sorted_jobs_on(const Schedule& schedule, MachineId i) {
+  const auto row = schedule.jobs_on(i);
+  std::vector<JobId> jobs;
+  jobs.reserve(row.size());
+  for (const JobId j : row) jobs.push_back(j);
+  std::sort(jobs.begin(), jobs.end());
+  return jobs;
+}
+
 }  // namespace dlb

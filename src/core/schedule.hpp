@@ -213,4 +213,9 @@ class Schedule {
   mutable MachineId cached_holder_ = 0;
 };
 
+/// The jobs on machine i, ascending by id: a deterministic order for
+/// readers that must not depend on the row's insertion order.
+[[nodiscard]] std::vector<JobId> sorted_jobs_on(const Schedule& schedule,
+                                                MachineId i);
+
 }  // namespace dlb

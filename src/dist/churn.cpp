@@ -28,17 +28,6 @@ std::string event_field(std::size_t index, const char* member) {
   return field;
 }
 
-/// The jobs currently on machine i, ascending by id — the deterministic
-/// order every churn mutation walks residents in.
-std::vector<JobId> residents_sorted(const Schedule& schedule, MachineId i) {
-  std::vector<JobId> jobs;
-  const auto list = schedule.jobs_on(i);
-  jobs.reserve(list.size());
-  for (const JobId j : list) jobs.push_back(j);
-  std::sort(jobs.begin(), jobs.end());
-  return jobs;
-}
-
 }  // namespace
 
 const char* churn_kind_name(ChurnKind kind) noexcept {
@@ -250,7 +239,7 @@ void ChurnRuntime::apply_initial(Schedule& schedule,
     // The initial distribution may have placed jobs on a machine that has
     // not joined yet; they wait in the queue like crash orphans and become
     // eligible for re-dispatch at epoch 1.
-    for (const JobId j : residents_sorted(schedule, i)) {
+    for (const JobId j : sorted_jobs_on(schedule, i)) {
       schedule.unassign(j);
       queue_.push_back(j);
       ++orphaned;
@@ -296,8 +285,8 @@ bool ChurnRuntime::begin_epoch(std::uint64_t epoch, Schedule& schedule,
         // Graceful shutdown: every resident migrates (ascending id) to the
         // live machine with the least load at that moment, then the
         // machine leaves the set.
-        const std::vector<JobId> jobs = residents_sorted(schedule,
-                                                         event.machine);
+        const std::vector<JobId> jobs =
+            sorted_jobs_on(schedule, event.machine);
         // Scan the schedule's mask, not live_: within one epoch's event
         // batch live_ is stale (rebuilt after the batch), and a join
         // earlier in the batch may be the only legal target.
@@ -327,8 +316,8 @@ bool ChurnRuntime::begin_epoch(std::uint64_t epoch, Schedule& schedule,
       case ChurnKind::kCrash: {
         // Fail-stop: residents are orphaned into the FIFO re-dispatch
         // queue (never lost — the conservation oracle checks).
-        const std::vector<JobId> jobs = residents_sorted(schedule,
-                                                         event.machine);
+        const std::vector<JobId> jobs =
+            sorted_jobs_on(schedule, event.machine);
         for (const JobId j : jobs) {
           schedule.unassign(j);
           queue_.push_back(j);

@@ -1,7 +1,6 @@
 #include "dist/epoch_driver.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -159,12 +158,7 @@ void EpochRun::fill_checkpoint(Checkpoint& ck) {
   }
 }
 
-void EpochRun::finish(const core::Arena& arena,
-                      const char* overflow_counter) {
-  if (metrics != nullptr) {
-    metrics->counter(overflow_counter).add(arena.overflows());
-  }
-  assert(arena.overflows() == 0);
+void EpochRun::finish() {
   result.final_makespan = schedule.makespan();
   result.migrations = migrations();
   const ChurnCounters& cc = churn.counters();

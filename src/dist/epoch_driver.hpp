@@ -8,19 +8,18 @@
 // the best-Cmax update and both early stops act once per step. The driver is a
 // template over the engine's planner, so each step is a direct call, not a
 // virtual one. A Planner is built as Planner(run, result, args...) and provides
-// kName, kChecksSeed (matches(ck) compares seeds), kEngine, kArenaCounter,
-// kStepIsEpoch (the stability step index is the epoch number, not the exchange
-// count), kCountsFinalIdleEpoch, kFlightCmaxFromLoads (else makespan()),
-// matches(ck), reset(order), restore(ck), save(ck), plan() (false when no pair
-// can run), step() (Cmax after the step, or nullopt once the epoch's plan is
-// used up), idle() and arena().
+// kName, kChecksSeed (matches(ck) compares seeds), kEngine, kStepIsEpoch (the
+// stability step index is the epoch number, not the exchange count),
+// kCountsFinalIdleEpoch, kFlightCmaxFromLoads (else makespan()), matches(ck),
+// reset(order), restore(ck), save(ck), plan() (false when no pair can run),
+// step() (Cmax after the step, or nullopt once the epoch's plan is used up)
+// and idle().
 
 #include <cstdint>
 #include <optional>
 #include <string_view>
 #include <utility>
 
-#include "core/arena.hpp"
 #include "core/schedule.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/churn.hpp"
@@ -54,9 +53,8 @@ struct EpochRun {
   void record_flight(bool cmax_from_loads);
   /// The shared checkpoint fields, the save counter and trace instant.
   void fill_checkpoint(Checkpoint& ck);
-  /// Exports the plan arena's overflows (the epoch loop must not
-  /// allocate), then fills the final Cmax, churn and risk fields.
-  void finish(const core::Arena& arena, const char* overflow_counter);
+  /// Fills the final Cmax, churn and risk fields.
+  void finish();
 
   Schedule& schedule;
   const EngineOptions& options;
@@ -136,7 +134,7 @@ void run_epochs(typename Planner::Result& result, Schedule& schedule,
       break;
     }
   }
-  run.finish(planner.arena(), Planner::kArenaCounter);
+  run.finish();
 }
 
 }  // namespace dlb::dist

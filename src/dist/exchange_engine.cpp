@@ -2,8 +2,8 @@
 
 #include <optional>
 #include <span>
+#include <vector>
 
-#include "core/arena.hpp"
 #include "dist/epoch_driver.hpp"
 
 namespace dlb::dist {
@@ -17,22 +17,19 @@ class SequentialPlanner {
   static constexpr const char* kName = "ExchangeEngine";
   static constexpr bool kChecksSeed = false;
   static constexpr auto kEngine = Checkpoint::Engine::kSequential;
-  static constexpr const char* kArenaCounter =
-      "exchange.plan_arena_overflows";
   static constexpr bool kStepIsEpoch = false;
   static constexpr bool kCountsFinalIdleEpoch = true;
   static constexpr bool kFlightCmaxFromLoads = true;
 
-  // The round lives in an arena sized once from the machine count: ids are
-  // stable under churn, so re-filling it can never outgrow m.
+  // The round is reserved once from the machine count: ids are stable
+  // under churn, so re-filling it never outgrows m.
   SequentialPlanner(EpochRun& run, RunResult& result,
                     const PeerSelector& selector, stats::Rng& rng)
       : run_(run),
         result_(result),
         selector_(selector),
-        rng_(rng),
-        arena_(core::Arena::bytes_for<MachineId>(m())),
-        round_(arena_.alloc<MachineId>(m())) {
+        rng_(rng) {
+    round_.reserve(m());
     if (run.metrics != nullptr) {
       c_exchanges_ = &run.metrics->counter("exchange.count");
       c_changed_ = &run.metrics->counter("exchange.changed");
@@ -42,7 +39,6 @@ class SequentialPlanner {
   }
 
   [[nodiscard]] bool matches(const Checkpoint& /*ck*/) const { return true; }
-  [[nodiscard]] const core::Arena& arena() const { return arena_; }
 
   void reset(const std::vector<MachineId>& order) {
     round_.assign(order.begin(), order.end());
@@ -124,8 +120,7 @@ class SequentialPlanner {
   RunResult& result_;
   const PeerSelector& selector_;
   stats::Rng& rng_;
-  core::Arena arena_;
-  core::FixedVec<MachineId> round_;
+  std::vector<MachineId> round_;
   std::size_t pos_ = 0;  ///< Next initiator within the round.
   std::uint64_t kernel_moves_ = 0;
   obs::Counter* c_exchanges_ = nullptr;

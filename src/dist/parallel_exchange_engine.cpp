@@ -6,8 +6,8 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
-#include "core/arena.hpp"
 #include "dist/epoch_driver.hpp"
 #include "stats/rng.hpp"
 
@@ -40,15 +40,13 @@ class ParallelPlanner {
   static constexpr const char* kName = "ParallelExchangeEngine";
   static constexpr bool kChecksSeed = true;
   static constexpr auto kEngine = Checkpoint::Engine::kParallel;
-  static constexpr const char* kArenaCounter =
-      "parexchange.plan_arena_overflows";
   static constexpr bool kStepIsEpoch = true;
   static constexpr bool kCountsFinalIdleEpoch = false;
   static constexpr bool kFlightCmaxFromLoads = false;
 
-  // Every plan buffer is carved from one arena sized up front: machine ids
-  // are stable under churn, so `m` bounds the initiator order and the
-  // claim marks, and an epoch never holds more than m/2 disjoint sessions.
+  // Every plan buffer is sized once up front: machine ids are stable under
+  // churn, so `m` bounds the initiator order and the claim marks, and an
+  // epoch never holds more than m/2 disjoint sessions.
   ParallelPlanner(EpochRun& run, ParallelRunResult& result,
                   const PeerSelector& selector, std::uint64_t seed,
                   parallel::ThreadPool* pool)
@@ -57,13 +55,10 @@ class ParallelPlanner {
         selector_(selector),
         seed_(seed),
         pool_(pool),
-        arena_(core::Arena::bytes_for<MachineId>(m()) +
-               core::Arena::bytes_for<std::uint64_t>(m()) +
-               core::Arena::bytes_for<Session>(m() / 2)),
-        order_(arena_.alloc<MachineId>(m())),
-        claimed_(arena_.alloc<std::uint64_t>(m())),
-        batch_(arena_.alloc<Session>(m() / 2)),
+        claimed_(m(), 0),
         locks_(std::make_unique<std::mutex[]>(m())) {
+    order_.reserve(m());
+    batch_.reserve(m() / 2);
     if (run.metrics != nullptr) {
       c_sessions_ = &run.metrics->counter("parexchange.sessions");
       c_conflicts_ = &run.metrics->counter("parexchange.conflicts");
@@ -76,7 +71,6 @@ class ParallelPlanner {
   [[nodiscard]] bool matches(const Checkpoint& ck) const {
     return ck.seed == seed_;
   }
-  [[nodiscard]] const core::Arena& arena() const { return arena_; }
 
   void reset(const std::vector<MachineId>& order) {
     order_.assign(order.begin(), order.end());
@@ -215,10 +209,9 @@ class ParallelPlanner {
   const PeerSelector& selector_;
   std::uint64_t seed_;
   parallel::ThreadPool* pool_;
-  core::Arena arena_;
-  core::FixedVec<MachineId> order_;
-  std::span<std::uint64_t> claimed_;
-  core::FixedVec<Session> batch_;
+  std::vector<MachineId> order_;
+  std::vector<std::uint64_t> claimed_;
+  std::vector<Session> batch_;
   std::unique_ptr<std::mutex[]> locks_;
   std::uint64_t next_session_ = 0;  ///< Global id of per-session streams.
   bool pending_ = false;            ///< The planned batch has not run yet.

@@ -149,12 +149,7 @@ Cost TransportRunner::load_of(MachineId machine,
 }
 
 std::vector<JobId> TransportRunner::sorted_jobs(MachineId machine) const {
-  const auto view = replica_->jobs_on(machine);
-  std::vector<JobId> jobs;
-  jobs.reserve(view.size());
-  for (const JobId job : view) jobs.push_back(job);
-  std::sort(jobs.begin(), jobs.end());
-  return jobs;
+  return sorted_jobs_on(*replica_, machine);
 }
 
 void TransportRunner::start() {

@@ -42,6 +42,31 @@ FaultPlan FaultPlan::chaos(double p, std::uint64_t seed) {
   return plan;
 }
 
+void FaultInjector::set_plan(const FaultPlan* plan) {
+  plan_ = (plan != nullptr && !plan->trivial()) ? plan : nullptr;
+  rng_ = plan_ != nullptr ? stats::Rng::stream(plan_->seed, stream_)
+                          : stats::Rng(0);
+  stats_ = FaultStats{};
+  held_.clear();
+  resolve_counters();
+}
+
+void FaultInjector::set_metrics(obs::Metrics* metrics) {
+  metrics_ = metrics;
+  resolve_counters();
+}
+
+void FaultInjector::resolve_counters() {
+  if (metrics_ == nullptr || plan_ == nullptr) {
+    c_dropped_ = c_delayed_ = c_duplicated_ = c_reordered_ = nullptr;
+    return;
+  }
+  c_dropped_ = &metrics_->counter(prefix_ + "dropped");
+  c_delayed_ = &metrics_->counter(prefix_ + "delayed");
+  c_duplicated_ = &metrics_->counter(prefix_ + "duplicated");
+  c_reordered_ = &metrics_->counter(prefix_ + "reordered");
+}
+
 FaultPlan fault_plan_by_name(const std::string& name, double p,
                              std::uint64_t seed) {
   if (name == "none") return FaultPlan{.seed = seed};

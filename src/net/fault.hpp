@@ -1,10 +1,11 @@
 #pragma once
 
-// Seeded network fault injection for the simulated message layer. A
-// FaultPlan attaches to net::Network and perturbs every send() with
-// independent Bernoulli draws from a dedicated fault stream: messages can
-// be dropped, delayed by extra latency, duplicated, or reordered behind a
-// later send. The decisions are a deterministic function of the plan's
+// Seeded network fault injection. A FaultPlan attaches to net::Network (the
+// simulated message layer) or to a SocketTransport (its chaos proxy on real
+// frames); both route every remote send through one FaultInjector, which
+// makes independent Bernoulli draws from a dedicated fault stream: messages
+// can be dropped, delayed by extra latency, duplicated, or reordered behind
+// a later send. The decisions are a deterministic function of the plan's
 // seed, so a failing run replays exactly from (instance seed, fault seed).
 //
 // The balancing protocols must tolerate every plan: the property harness
@@ -12,10 +13,16 @@
 // jobs under arbitrary fault mixes — the decentralized analogue of the
 // "unreliable machines" caveat the paper's conclusion raises.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "des/engine.hpp"
+#include "obs/metrics.hpp"
+#include "stats/rng.hpp"
 
 namespace dlb::net {
 
@@ -50,9 +57,9 @@ struct FaultPlan {
   }
 };
 
-/// Counts of injected faults, kept by the Network alongside the obs
-/// counters (net.faults.*) so callers without a metrics registry still see
-/// what the plan did.
+/// Counts of injected faults, kept by the FaultInjector alongside its obs
+/// counters (net.faults.* / net.socket.faults.*) so callers without a
+/// metrics registry still see what the plan did.
 struct FaultStats {
   std::uint64_t dropped = 0;
   std::uint64_t delayed = 0;
@@ -62,6 +69,85 @@ struct FaultStats {
   [[nodiscard]] std::uint64_t total() const noexcept {
     return dropped + delayed + duplicated + reordered;
   }
+};
+
+/// Applies a FaultPlan to one sender's remote messages. Draws come from
+/// `Rng::stream(plan seed, stream)`; the counters `<prefix>dropped`,
+/// `delayed`, `duplicated` and `reordered` are registered only while a
+/// plan is live and metrics are attached, so fault-free runs keep their
+/// metric snapshots byte-identical to a sender without fault injection.
+class FaultInjector {
+ public:
+  /// Delivers one message.
+  using Delivery = std::function<void()>;
+
+  FaultInjector(std::uint64_t stream, std::string counter_prefix)
+      : stream_(stream), prefix_(std::move(counter_prefix)) {}
+
+  /// Attaches a plan (null or trivial detaches) and restarts the fault
+  /// stream, the stats and the held messages. The plan must outlive the
+  /// injector.
+  void set_plan(const FaultPlan* plan);
+  /// Attaches the registry the fault counters live in (null detaches).
+  void set_metrics(obs::Metrics* metrics);
+
+  /// False when no plan is attached: the sender delivers directly.
+  [[nodiscard]] bool live() const noexcept { return plan_ != nullptr; }
+  [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
+  /// Messages held back by reorder faults and not yet released behind a
+  /// later send (they deliver on the next send, or never if none follows).
+  [[nodiscard]] std::size_t held() const noexcept { return held_.size(); }
+
+  /// Applies the live plan to one message. Draws are made in a fixed
+  /// order — drop, delay, duplicate, reorder — so a run replays exactly
+  /// from the plan seed. `ship(extra, delivery)` sends one copy `extra`
+  /// time units later than a fault-free send would (0 when not delayed).
+  /// A held message ships right behind the next message that ships, with
+  /// that message's delay, so it arrives after it.
+  template <typename Ship>
+  void send(Delivery delivery, Ship&& ship) {
+    if (rng_.bernoulli(plan_->drop_probability)) {
+      count(stats_.dropped, c_dropped_);
+      return;
+    }
+    double extra = 0.0;
+    if (rng_.bernoulli(plan_->delay_probability)) {
+      extra = rng_.uniform(plan_->delay_lo, plan_->delay_hi);
+      count(stats_.delayed, c_delayed_);
+    }
+    if (rng_.bernoulli(plan_->duplicate_probability)) {
+      count(stats_.duplicated, c_duplicated_);
+      ship(extra, delivery);  // the copy
+    }
+    if (rng_.bernoulli(plan_->reorder_probability)) {
+      count(stats_.reordered, c_reordered_);
+      held_.push_back(std::move(delivery));
+      return;
+    }
+    ship(extra, std::move(delivery));
+    std::vector<Delivery> held;
+    held.swap(held_);
+    for (Delivery& released : held) ship(extra, std::move(released));
+  }
+
+ private:
+  static void count(std::uint64_t& stat, obs::Counter* counter) {
+    ++stat;
+    if (counter != nullptr) counter->add();
+  }
+  void resolve_counters();
+
+  std::uint64_t stream_;
+  std::string prefix_;
+  const FaultPlan* plan_ = nullptr;
+  obs::Metrics* metrics_ = nullptr;
+  stats::Rng rng_{0};
+  FaultStats stats_;
+  std::vector<Delivery> held_;
+  obs::Counter* c_dropped_ = nullptr;
+  obs::Counter* c_delayed_ = nullptr;
+  obs::Counter* c_duplicated_ = nullptr;
+  obs::Counter* c_reordered_ = nullptr;
 };
 
 /// "drop" / "delay" / "duplicate" / "reorder" / "chaos" / "none" -> plan

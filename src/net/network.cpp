@@ -7,81 +7,28 @@ namespace dlb::net {
 void Network::send(MachineId from, MachineId to,
                    std::function<void()> deliver) {
   ++messages_;
-  des::SimTime latency = latency_->sample(from, to, *rng_);
+  const des::SimTime latency = latency_->sample(from, to, *rng_);
   if (obs_messages_) {
     obs_messages_->add();
     obs_last_latency_->set(latency);
   }
-  if (fault_plan_ == nullptr) {
+  if (!faults_.live()) {
     engine_->schedule_after(latency, std::move(deliver));
     return;
   }
-
-  // Fault decisions draw from the dedicated stream in a fixed order so a
-  // run replays exactly from the plan seed.
-  if (fault_rng_.bernoulli(fault_plan_->drop_probability)) {
-    ++fault_stats_.dropped;
-    if (obs_dropped_) obs_dropped_->add();
-    return;
-  }
-  if (fault_rng_.bernoulli(fault_plan_->delay_probability)) {
-    latency +=
-        fault_rng_.uniform(fault_plan_->delay_lo, fault_plan_->delay_hi);
-    ++fault_stats_.delayed;
-    if (obs_delayed_) obs_delayed_->add();
-  }
-  if (fault_rng_.bernoulli(fault_plan_->duplicate_probability)) {
-    ++fault_stats_.duplicated;
-    if (obs_duplicated_) obs_duplicated_->add();
-    engine_->schedule_after(latency, deliver);  // the copy
-  }
-  if (fault_rng_.bernoulli(fault_plan_->reorder_probability)) {
-    // Hold the message back; the next send() releases it at its own
-    // delivery time, behind the later message (FIFO tie-breaking).
-    ++fault_stats_.reordered;
-    if (obs_reordered_) obs_reordered_->add();
-    held_.push_back(std::move(deliver));
-    return;
-  }
-  engine_->schedule_after(latency, std::move(deliver));
-  if (!held_.empty()) {
-    for (auto& callback : held_) {
-      engine_->schedule_after(latency, std::move(callback));
-    }
-    held_.clear();
-  }
-}
-
-void Network::set_fault_plan(const FaultPlan* plan) {
-  fault_plan_ = (plan != nullptr && !plan->trivial()) ? plan : nullptr;
-  fault_rng_ = fault_plan_ ? stats::Rng::stream(fault_plan_->seed, 0xFA17)
-                           : stats::Rng(0);
-  fault_stats_ = FaultStats{};
-  held_.clear();
-  resolve_fault_counters();
+  // A released message is scheduled right after its releaser at the same
+  // delivery time, so FIFO tie-breaking delivers it behind.
+  faults_.send(std::move(deliver),
+               [this, latency](double extra, FaultInjector::Delivery copy) {
+                 engine_->schedule_after(latency + extra, std::move(copy));
+               });
 }
 
 void Network::attach_obs(const obs::Context* context) {
-  obs_context_ = context;
   obs::Metrics* metrics = obs::metrics_of(context);
   obs_messages_ = metrics ? &metrics->counter("net.messages") : nullptr;
   obs_last_latency_ = metrics ? &metrics->gauge("net.last_latency") : nullptr;
-  resolve_fault_counters();
-}
-
-void Network::resolve_fault_counters() {
-  // The fault counters are registered lazily — only when a plan is live —
-  // so fault-free runs keep their metric snapshots byte-identical to the
-  // pre-fault-injection implementation.
-  obs::Metrics* metrics = obs::metrics_of(obs_context_);
-  if (metrics == nullptr || fault_plan_ == nullptr) {
-    obs_dropped_ = obs_delayed_ = obs_duplicated_ = obs_reordered_ = nullptr;
-    return;
-  }
-  obs_dropped_ = &metrics->counter("net.faults.dropped");
-  obs_delayed_ = &metrics->counter("net.faults.delayed");
-  obs_duplicated_ = &metrics->counter("net.faults.duplicated");
-  obs_reordered_ = &metrics->counter("net.faults.reordered");
+  faults_.set_metrics(metrics);
 }
 
 }  // namespace dlb::net

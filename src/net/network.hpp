@@ -9,9 +9,9 @@
 // drop/delay/duplicate/reorder decisions; without a plan the send path is
 // byte-identical to the fault-free implementation.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "core/types.hpp"
 #include "des/engine.hpp"
@@ -74,16 +74,16 @@ class Network {
   /// Attaches a fault plan (`nullptr` detaches). The plan must outlive the
   /// network; its decisions draw from a dedicated rng seeded by plan->seed,
   /// so protocol determinism is unaffected.
-  void set_fault_plan(const FaultPlan* plan);
+  void set_fault_plan(const FaultPlan* plan) { faults_.set_plan(plan); }
 
   [[nodiscard]] const FaultStats& fault_stats() const noexcept {
-    return fault_stats_;
+    return faults_.stats();
   }
 
   /// Messages held back by reorder faults and not yet released behind a
   /// later send (they deliver on the next send, or never if none follows).
   [[nodiscard]] std::size_t held_messages() const noexcept {
-    return held_.size();
+    return faults_.held();
   }
 
   /// Attaches observability sinks (counter net.messages, gauge
@@ -93,23 +93,13 @@ class Network {
   void attach_obs(const obs::Context* context);
 
  private:
-  void resolve_fault_counters();
-
   des::Engine* engine_;
   const LatencyModel* latency_;
   stats::Rng* rng_;
   std::uint64_t messages_ = 0;
-  const obs::Context* obs_context_ = nullptr;
-  const FaultPlan* fault_plan_ = nullptr;
-  stats::Rng fault_rng_;
-  FaultStats fault_stats_;
-  std::vector<std::function<void()>> held_;
+  FaultInjector faults_{0xFA17, "net.faults."};
   obs::Counter* obs_messages_ = nullptr;
   obs::Gauge* obs_last_latency_ = nullptr;
-  obs::Counter* obs_dropped_ = nullptr;
-  obs::Counter* obs_delayed_ = nullptr;
-  obs::Counter* obs_duplicated_ = nullptr;
-  obs::Counter* obs_reordered_ = nullptr;
 };
 
 }  // namespace dlb::net

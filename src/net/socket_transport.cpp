@@ -88,10 +88,7 @@ sockaddr_un make_unix_sockaddr(const std::string& path) {
 
 SocketTransport::SocketTransport(SocketTransportOptions options)
     : options_(std::move(options)),
-      chaos_rng_(options_.chaos != nullptr
-                     ? stats::Rng::stream(options_.chaos->seed,
-                                          0xC4A05 + options_.self)
-                     : stats::Rng(0)) {
+      chaos_(0xC4A05 + options_.self, "net.socket.faults.") {
   if (options_.self >= options_.hosts.size()) {
     throw std::invalid_argument("SocketTransport: self index out of range");
   }
@@ -136,13 +133,9 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
     c_accepts_ = &metrics->counter("net.socket.accepts");
     c_disconnects_ = &metrics->counter("net.socket.disconnects");
     c_decode_errors_ = &metrics->counter("net.socket.decode_errors");
-    if (options_.chaos != nullptr && !options_.chaos->trivial()) {
-      c_dropped_ = &metrics->counter("net.socket.faults.dropped");
-      c_delayed_ = &metrics->counter("net.socket.faults.delayed");
-      c_duplicated_ = &metrics->counter("net.socket.faults.duplicated");
-      c_reordered_ = &metrics->counter("net.socket.faults.reordered");
-    }
   }
+  chaos_.set_plan(options_.chaos);
+  chaos_.set_metrics(obs::metrics_of(options_.obs));
   tracer_ = obs::tracer_of(options_.obs);
 
   open_listener();
@@ -319,58 +312,27 @@ void SocketTransport::send(const Frame& frame) {
     local_queue_.push_back(frame);
     return;
   }
-  const FaultPlan* chaos = options_.chaos;
-  if (chaos == nullptr || chaos->trivial()) {
+  if (!chaos_.live()) {
     enqueue_wire(host, frame);
     flush_link(host);
     return;
   }
-  // Same decision order as the simulated Network, drawn from this host's
-  // chaos stream, applied to real frames on a real connection.
-  if (chaos_rng_.bernoulli(chaos->drop_probability)) {
-    ++chaos_stats_.dropped;
-    if (c_dropped_) c_dropped_->add();
-    return;
-  }
-  double extra = 0.0;
-  if (chaos_rng_.bernoulli(chaos->delay_probability)) {
-    extra = chaos_rng_.uniform(chaos->delay_lo, chaos->delay_hi);
-    ++chaos_stats_.delayed;
-    if (c_delayed_) c_delayed_->add();
-  }
-  const auto ship = [this, host](const Frame& copy) {
-    enqueue_wire(host, copy);
-    flush_link(host);
-  };
-  const auto ship_maybe_delayed = [this, ship, extra](const Frame& copy) {
-    if (extra > 0.0) {
-      schedule_after(extra, [ship, copy] { ship(copy); });
-    } else {
-      ship(copy);
-    }
-  };
-  if (chaos_rng_.bernoulli(chaos->duplicate_probability)) {
-    ++chaos_stats_.duplicated;
-    if (c_duplicated_) c_duplicated_->add();
-    ship_maybe_delayed(frame);
-  }
-  if (chaos_rng_.bernoulli(chaos->reorder_probability)) {
-    // Held back until the next outgoing frame, like the simulated
-    // network's reorder fault.
-    ++chaos_stats_.reordered;
-    if (c_reordered_) c_reordered_->add();
-    chaos_held_.emplace_back(host, frame);
-    return;
-  }
-  ship_maybe_delayed(frame);
-  if (!chaos_held_.empty()) {
-    std::vector<std::pair<std::size_t, Frame>> held;
-    held.swap(chaos_held_);
-    for (auto& [held_host, held_frame] : held) {
-      enqueue_wire(held_host, held_frame);
-      flush_link(held_host);
-    }
-  }
+  // The simulated Network's fault policy, drawn from this host's chaos
+  // stream, applied to real frames on a real connection. A delayed frame
+  // waits on a timer; timers fire in deadline then scheduling order, so a
+  // released frame still goes out behind its releaser.
+  chaos_.send(
+      [this, host, frame] {
+        enqueue_wire(host, frame);
+        flush_link(host);
+      },
+      [this](double extra, FaultInjector::Delivery ship) {
+        if (extra > 0.0) {
+          schedule_after(extra, std::move(ship));
+        } else {
+          ship();
+        }
+      });
 }
 
 void SocketTransport::enqueue_wire(std::size_t host, const Frame& frame) {

@@ -116,7 +116,7 @@ class SocketTransport final : public Transport {
   void remove_watch(int fd);
 
   [[nodiscard]] const FaultStats& chaos_stats() const noexcept {
-    return chaos_stats_;
+    return chaos_.stats();
   }
 
  private:
@@ -167,9 +167,7 @@ class SocketTransport final : public Transport {
   std::uint64_t next_timer_seq_ = 0;
   std::map<int, std::function<void()>> watches_;
 
-  stats::Rng chaos_rng_;
-  FaultStats chaos_stats_;
-  std::vector<std::pair<std::size_t, Frame>> chaos_held_;
+  FaultInjector chaos_;
 
   obs::Counter* c_frames_sent_ = nullptr;
   obs::Counter* c_frames_received_ = nullptr;
@@ -179,10 +177,6 @@ class SocketTransport final : public Transport {
   obs::Counter* c_accepts_ = nullptr;
   obs::Counter* c_disconnects_ = nullptr;
   obs::Counter* c_decode_errors_ = nullptr;
-  obs::Counter* c_dropped_ = nullptr;
-  obs::Counter* c_delayed_ = nullptr;
-  obs::Counter* c_duplicated_ = nullptr;
-  obs::Counter* c_reordered_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -24,7 +24,6 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
     : capacity_(std::max<std::size_t>(1, options.capacity)) {}
 
 void FlightRecorder::record(const FlightSample& sample) {
-#if DLB_OBS_ENABLED
   const std::scoped_lock lock(mutex_);
   if (ring_.size() < capacity_) {
     ring_.push_back(sample);
@@ -33,9 +32,6 @@ void FlightRecorder::record(const FlightSample& sample) {
   ring_[head_] = sample;
   head_ = (head_ + 1) % capacity_;
   ++dropped_;
-#else
-  (void)sample;
-#endif
 }
 
 std::vector<FlightSample> FlightRecorder::samples() const {

@@ -8,17 +8,14 @@
 // epoch. Unlike the tracer ring (which keeps the *oldest* events so a
 // trace's head is never rewritten), the flight recorder keeps the *newest*
 // samples: like an aircraft recorder, the last moments before landing —
-// or before a crash — are the ones worth replaying.
-//
-// Recording is guarded by the same compile-time `DLB_OBS` switch as the
-// tracer: with the switch off, record() compiles to nothing.
+// or before a crash — are the ones worth replaying. Like the tracer, it
+// records only when attached: an engine without a recorder does no work.
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
-#include "obs/trace.hpp"  // DLB_OBS_ENABLED default
 #include "stats/json.hpp"
 
 namespace dlb::obs {
@@ -49,12 +46,6 @@ struct FlightRecorderOptions {
 class FlightRecorder {
  public:
   explicit FlightRecorder(FlightRecorderOptions options = {});
-
-  /// False when the library was built with -DDLB_OBS=OFF; record() is a
-  /// no-op then and exports are empty.
-  [[nodiscard]] static constexpr bool compiled_in() noexcept {
-    return DLB_OBS_ENABLED != 0;
-  }
 
   void record(const FlightSample& sample);
 

@@ -33,9 +33,7 @@ std::string arg_to_text(const TraceArg& arg) {
 Tracer::Tracer(TracerOptions options)
     : capacity_(options.capacity == 0 ? 1 : options.capacity),
       epoch_(std::chrono::steady_clock::now()) {
-#if DLB_OBS_ENABLED
   ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-#endif
 }
 
 double Tracer::now_us() const noexcept {
@@ -44,16 +42,12 @@ double Tracer::now_us() const noexcept {
 }
 
 void Tracer::push(TraceEvent event) {
-#if DLB_OBS_ENABLED
   std::lock_guard lock(mutex_);
   if (ring_.size() >= capacity_) {
     ++dropped_;
     return;
   }
   ring_.push_back(std::move(event));
-#else
-  (void)event;
-#endif
 }
 
 void Tracer::begin(double ts_us, std::uint32_t tid, std::string_view name,

@@ -7,8 +7,7 @@
 // Tracer::now_us(), discrete-event engines map virtual time through
 // sim_time_us() so one simulated time unit reads as one second in the
 // viewer. Recording takes a mutex; the *disabled* fast path is the caller's
-// single `if (tracer)` branch — no allocation, no lock. Building with
-// -DDLB_OBS=OFF compiles every recording body out entirely.
+// single `if (tracer)` branch — no allocation, no lock.
 
 #include <chrono>
 #include <cstddef>
@@ -22,10 +21,6 @@
 #include <vector>
 
 #include "stats/json.hpp"
-
-#ifndef DLB_OBS_ENABLED
-#define DLB_OBS_ENABLED 1
-#endif
 
 namespace dlb::obs {
 
@@ -73,11 +68,6 @@ class Tracer {
   explicit Tracer(TracerOptions options = {});
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  /// True when recording was not compiled out with -DDLB_OBS=OFF.
-  [[nodiscard]] static constexpr bool compiled_in() noexcept {
-    return DLB_OBS_ENABLED != 0;
-  }
 
   /// Wall-clock microseconds since this tracer was constructed.
   [[nodiscard]] double now_us() const noexcept;

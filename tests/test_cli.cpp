@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "golden_digest.hpp"
-#include "obs/obs.hpp"
 #include "stats/json.hpp"
 
 namespace dlb::cli {
@@ -584,12 +583,6 @@ class CliGolden : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-/// Obs JSON holds trace bytes, which a DLB_OBS=OFF build does not emit.
-#define DLB_REQUIRE_OBS()                                        \
-  if (!obs::Tracer::compiled_in()) {                             \
-    GTEST_SKIP() << "digest includes trace bytes (DLB_OBS=OFF)"; \
-  }
-
 TEST_F(CliGolden, Help) {
   step({"help"});
   expect_digest(0x044C502C34AB026CULL);
@@ -641,7 +634,6 @@ TEST_F(CliGolden, SolveEveryAlgorithm) {
 }
 
 TEST_F(CliGolden, BalanceSequentialWithTraceAndObs) {
-  DLB_REQUIRE_OBS();
   gen_instance();
   step({"balance", "--in", "a.inst", "--exchanges-per-machine", "4",
         "--seed", "3", "--trace", "t.csv", "--trace-json", "tj.json",
@@ -651,18 +643,17 @@ TEST_F(CliGolden, BalanceSequentialWithTraceAndObs) {
         "max-load_q95", "--cost-model", "lognormal:0.5",
         "--exchanges-per-machine", "5", "--metrics-json", "risk.json"},
        {"risk.json"});
-  expect_digest(0x3B5AC21D2E91F7A0ULL);
+  expect_digest(0xBB1355D2E2906E4CULL);
 }
 
 TEST_F(CliGolden, BalanceParallelWithTraceAndObs) {
-  DLB_REQUIRE_OBS();
   gen_instance();
   step({"balance", "--in", "a.inst", "--engine", "parallel", "--threads",
         "2", "--exchanges-per-machine", "6", "--seed", "5", "--trace",
         "t.csv", "--trace-json", "tj.json", "--metrics-json", "m.json",
         "--flight-json", "f.json"},
        {"t.csv", "tj.json", "m.json", "f.json"});
-  expect_digest(0x1F4C744A1F3020CFULL);
+  expect_digest(0x6DF634F4F1B78592ULL);
 }
 
 TEST_F(CliGolden, BalanceChurnCheckpointResume) {
@@ -694,7 +685,6 @@ TEST_F(CliGolden, BalanceChurnCheckpointResume) {
 }
 
 TEST_F(CliGolden, ServeSequentialAndParallelRepair) {
-  DLB_REQUIRE_OBS();
   gen_instance();
   step({"serve", "--in", "a.inst", "--arrivals", "poisson:0.05",
         "--placement", "two_choices:2", "--repair-every", "25",
@@ -729,7 +719,6 @@ TEST_F(CliGolden, ServeHaltResume) {
 }
 
 TEST_F(CliGolden, SimulateWithTraceAndObs) {
-  DLB_REQUIRE_OBS();
   gen_instance();
   step({"simulate", "--in", "a.inst", "--duration", "10", "--latency",
         "0.2", "--think", "0.5", "--backoff", "2", "--seed", "6", "--trace",
@@ -739,7 +728,6 @@ TEST_F(CliGolden, SimulateWithTraceAndObs) {
 }
 
 TEST_F(CliGolden, TransportChaos) {
-  DLB_REQUIRE_OBS();
   gen_instance();
   step({"transport", "--in", "a.inst", "--rounds", "3", "--fault", "chaos",
         "--fault-p", "0.2", "--seed", "2", "--trace-json", "tj.json",
@@ -751,7 +739,6 @@ TEST_F(CliGolden, TransportChaos) {
 }
 
 TEST_F(CliGolden, TraceAndMetricsMergeAndFlight) {
-  DLB_REQUIRE_OBS();
   gen_instance();
   for (const char* seed : {"1", "2"}) {
     step({"transport", "--in", "a.inst", "--rounds", "2", "--seed", seed,

@@ -414,9 +414,6 @@ std::uint64_t golden_parallel(GoldenConfig config, std::uint64_t seed) {
 void expect_golden(std::uint64_t (*golden)(GoldenConfig, std::uint64_t),
                    GoldenConfig config,
                    const std::array<std::uint64_t, 3>& expected) {
-  if (!obs::Tracer::compiled_in()) {
-    GTEST_SKIP() << "digests include trace bytes (built with DLB_OBS=OFF)";
-  }
   for (std::size_t k = 0; k < kGoldenSeeds.size(); ++k) {
     const std::uint64_t actual = golden(config, kGoldenSeeds[k]);
     EXPECT_EQ(actual, expected[k])
@@ -426,56 +423,56 @@ void expect_golden(std::uint64_t (*golden)(GoldenConfig, std::uint64_t),
 
 TEST(EngineGolden, SequentialChurnHaltResume) {
   expect_golden(golden_sequential, GoldenConfig::kChurnHaltResume,
-                {0x686F2446E55664DBULL, 0xCB401FF70D925095ULL,
-                 0xD4F7D674EA9C95ACULL});
+                {0xC14391F8C73BA247ULL, 0xA58E169FEF4A6D51ULL,
+                 0x3661A281AE387BD0ULL});
 }
 
 TEST(EngineGolden, SequentialThreshold) {
   expect_golden(golden_sequential, GoldenConfig::kThreshold,
-                {0x8424C19A952A4B5AULL, 0xF1E5606FA5A00209ULL,
-                 0x398069F183100281ULL});
+                {0x82ECEDF70411DB1EULL, 0x515B2FE1457CD9ADULL,
+                 0x03D1A275630296BDULL});
 }
 
 TEST(EngineGolden, SequentialStabilityInterval) {
   expect_golden(golden_sequential, GoldenConfig::kStability,
-                {0x02864E520782E783ULL, 0x5AD8554A93DAAFB4ULL,
-                 0x87C7963F4E1DAFF6ULL});
+                {0xA59472F0160CC593ULL, 0x7A1DD9A36F39DBF4ULL,
+                 0x53C7D94848006C2EULL});
 }
 
 TEST(EngineGolden, SequentialMaxLoadSelector) {
   expect_golden(golden_sequential, GoldenConfig::kMaxLoad,
-                {0x3C82B2282D264FDFULL, 0x3A864BDFA9E98570ULL,
-                 0xC31FECA6186ED777ULL});
+                {0x06847762C07101F3ULL, 0x3494C15863471CBCULL,
+                 0xC0565D68D2B3AA7FULL});
 }
 
 TEST(EngineGolden, ParallelChurnHaltResume) {
   expect_golden(golden_parallel, GoldenConfig::kChurnHaltResume,
-                {0x8A38E5D5A5826759ULL, 0x6035FB746BE98808ULL,
-                 0x3F411360B112C19FULL});
+                {0x004288A32D27576DULL, 0x1675BE8EE5ADC488ULL,
+                 0x5BE792A871EEEE71ULL});
 }
 
 TEST(EngineGolden, ParallelThreshold) {
   expect_golden(golden_parallel, GoldenConfig::kThreshold,
-                {0xB68975AD31C12A73ULL, 0xBFA222D498C08477ULL,
-                 0xEA5EC12A39C01AFAULL});
+                {0xB021864CDDACC1F6ULL, 0xB2CC61DBC2ABA952ULL,
+                 0x584D50F41DFDBCA9ULL});
 }
 
 TEST(EngineGolden, ParallelStabilityInterval) {
   expect_golden(golden_parallel, GoldenConfig::kStability,
-                {0x3A70614444DE42FDULL, 0xD8FF16AB90563826ULL,
-                 0x39888E2F828CF566ULL});
+                {0x913CBDCF8C046590ULL, 0x78C1E730F932B749ULL,
+                 0xEDFF8BD3C37E4373ULL});
 }
 
 TEST(EngineGolden, ParallelMaxLoadSelector) {
   expect_golden(golden_parallel, GoldenConfig::kMaxLoad,
-                {0xDC67236E8A5E1C0EULL, 0x89C22E1EB5C687C3ULL,
-                 0xC6D6840EAE76431CULL});
+                {0xAA42C8F2652F3023ULL, 0x500E08C3CF188978ULL,
+                 0x189E44A60EC4CB47ULL});
 }
 
 TEST(EngineGolden, ParallelFourThreadPool) {
   expect_golden(golden_parallel, GoldenConfig::kPool,
-                {0x8A38E5D5A5826759ULL, 0x6035FB746BE98808ULL,
-                 0x3F411360B112C19FULL});
+                {0x004288A32D27576DULL, 0x1675BE8EE5ADC488ULL,
+                 0x5BE792A871EEEE71ULL});
 }
 
 }  // namespace

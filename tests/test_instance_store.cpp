@@ -317,6 +317,43 @@ TEST(InstanceStore, OpenMappedRejectsUnknownGroupWithTypedError) {
   expect_field_error(file.path(), patched, "group_of");
 }
 
+TEST(InstanceStore, OpenMappedRejectsHostileJobTypesWithTypedErrors) {
+  // The u64 num_job_types header field and the u64 offset of the types
+  // section. A type id at or past the count would index past the typed
+  // kernel's per-type counts and, with a cost-model section, past
+  // set_cost_model's per-type representatives.
+  constexpr std::size_t kNumJobTypesAt = 40;
+  constexpr std::size_t kOffTypesAt = 80;
+  for (const bool with_cost_model : {false, true}) {
+    Instance typed = gen::typed_uniform(4, 20, 3, 1.0, 100.0, 7);
+    if (with_cost_model) {
+      typed.set_cost_model(cost::CostModel(std::vector<cost::Dist>(
+          typed.num_jobs(), cost::parse_dist("lognormal:0.5"))));
+    }
+    SCOPED_TRACE(with_cost_model ? "with cost model" : "without cost model");
+    TempFile file("hostile_types.dlbi");
+    save_dlbi(typed, file.path());
+    const std::string good = read_file(file.path());
+    const auto num_types = read_at<std::uint64_t>(good, kNumJobTypesAt);
+    const auto types_at = read_at<std::uint64_t>(good, kOffTypesAt);
+    const std::size_t job5 = types_at + 5 * sizeof(std::uint32_t);
+
+    for (const std::uint64_t bad : {num_types, std::uint64_t{1} << 30}) {
+      std::string patched = good;
+      write_at(patched, job5, static_cast<std::uint32_t>(bad));
+      expect_field_error(file.path(), patched, "types");
+    }
+    // One more declared type than the section uses: ids are not dense.
+    std::string sparse = good;
+    write_at<std::uint64_t>(sparse, kNumJobTypesAt, num_types + 1);
+    expect_field_error(file.path(), sparse, "types");
+    // More types than jobs.
+    std::string too_many = good;
+    write_at<std::uint64_t>(too_many, kNumJobTypesAt, typed.num_jobs() + 1);
+    expect_field_error(file.path(), too_many, "num_job_types");
+  }
+}
+
 TEST(InstanceStore, OpenMappedRejectsSectionBoundsThatWrap) {
   // Header fields whose section end or size wraps past 2^64 into the file:
   // an offset 64 bytes short of 2^64 under a 128-byte scales section (16

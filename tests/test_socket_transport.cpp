@@ -276,6 +276,52 @@ TEST(SocketTransportGolden, ThreeHostsMatchPinnedDigests) {
   expect_golden(3);
 }
 
+TEST(SocketTransport, ChaosReleasesHeldFramesBehindADelayedFrame) {
+  // Seed 10 on host 0's chaos stream holds the first frame (reorder, no
+  // delay) and delays the second, which releases it. As on the simulated
+  // Network, the held frame must arrive behind its releaser.
+  FaultPlan plan;
+  plan.delay_probability = 0.5;
+  plan.reorder_probability = 0.5;
+  plan.delay_lo = 0.02;
+  plan.delay_hi = 0.04;
+  plan.seed = 10;
+  const std::vector<HostSpec> hosts = make_hosts(true, "reorder", 2, 2);
+  SocketTransportOptions options_a;
+  options_a.hosts = hosts;
+  options_a.self = 0;
+  options_a.chaos = &plan;
+  SocketTransportOptions options_b;
+  options_b.hosts = hosts;
+  options_b.self = 1;
+  SocketTransport transport_a(options_a);
+  SocketTransport transport_b(options_b);
+  std::vector<std::uint64_t> arrived;
+  transport_a.set_handler([](const Frame&) {});
+  transport_b.set_handler(
+      [&arrived](const Frame& frame) { arrived.push_back(frame.token); });
+  transport_b.connect();
+  transport_a.connect();
+
+  for (const std::uint64_t token : {1, 2}) {
+    Frame frame;
+    frame.from = 0;
+    frame.to = 1;
+    frame.token = token;
+    transport_a.send(frame);
+  }
+  EXPECT_EQ(transport_a.chaos_stats().reordered, 1u);
+  EXPECT_EQ(transport_a.chaos_stats().delayed, 1u);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+    transport_a.poll(0.005);
+    transport_b.poll(0.005);
+  }
+  EXPECT_EQ(arrived, (std::vector<std::uint64_t>{2, 1}));
+}
+
 TEST(SocketTransport, RejectsBadManifest) {
   SocketTransportOptions options;
   options.hosts.resize(2);
