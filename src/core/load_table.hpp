@@ -200,6 +200,15 @@ class LoadTable {
     touch(i);
   }
 
+  /// Requests job j's next/prev links into the cache ahead of an attach
+  /// or detach. Issues prefetches only; reads and writes no table state.
+  /// Always inlined: GCC deletes a call to a function whose body is only
+  /// prefetches, as a call without effects.
+  [[gnu::always_inline]] void prefetch(JobId j) const noexcept {
+    __builtin_prefetch(next_ + j, 1);
+    __builtin_prefetch(prev_ + j, 1);
+  }
+
   /// Unlinks job j from machine i and subtracts `cost` from its load. O(1).
   void detach(JobId j, MachineId i, Cost cost) noexcept {
     if (prev_[j] != kNil) {

@@ -119,6 +119,14 @@ class Schedule {
     return table_.jobs(i);
   }
 
+  /// Requests job j's assignment slot and row links into the cache ahead
+  /// of an assign, move or unassign. Changes no state; always inlined,
+  /// like LoadTable::prefetch.
+  [[gnu::always_inline]] void prefetch(JobId j) const noexcept {
+    __builtin_prefetch(assignment_.raw().data() + j, 1);
+    table_.prefetch(j);
+  }
+
   /// Places an unassigned job.
   void assign(JobId j, MachineId i);
 

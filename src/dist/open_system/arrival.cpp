@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "dist/text_codec.hpp"
@@ -173,6 +174,14 @@ std::vector<double> ArrivalPlan::arrival_times(std::size_t count) const {
     // Clamp to the previous arrival: crossing a bin edge can lose an ulp,
     // and the engine's oracles rely on a non-decreasing sequence.
     prev = std::max(prev, bin_start + unit_into_bin / r);
+    // A finite but subnormal rate overflows the division; an infinite
+    // arrival time would stall the engine's repair clock forever.
+    if (!std::isfinite(prev)) {
+      invalid_value("rate",
+                    "puts arrival " + std::to_string(k) +
+                        " at a non-finite time",
+                    r);
+    }
     times.push_back(prev);
   }
   return times;

@@ -66,7 +66,8 @@ struct ArrivalPlan {
   /// The first `count` arrival times, non-decreasing. Pure function of
   /// (plan, count): element k never changes once drawn, so a resumed run
   /// regenerates the identical schedule. Requires a validated,
-  /// non-trivial plan.
+  /// non-trivial plan. Throws std::invalid_argument naming `rate` when a
+  /// rate too small to divide by (say 1e-310) makes a time non-finite.
   [[nodiscard]] std::vector<double> arrival_times(std::size_t count) const;
 
   [[nodiscard]] static ArrivalPlan poisson(double rate, std::uint64_t seed);

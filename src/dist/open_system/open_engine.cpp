@@ -34,6 +34,12 @@ enum SeedDomain : std::uint64_t {
   kShuffleDomain = 4,
 };
 
+/// How many arrivals ahead the event loop requests a job's state. Arrival
+/// order and times are fixed when the run starts, so the shuffled job that
+/// arrives 16 admissions from now is already known; 8, 16, 32 and 64 all
+/// helped on open_serve, and 16 most.
+constexpr std::size_t kArrivalLookahead = 16;
+
 std::uint64_t sub_seed(std::uint64_t seed, std::uint64_t domain) noexcept {
   std::uint64_t sm = seed + 0x9E3779B97F4A7C15ULL * (domain + 1);
   return stats::splitmix64(sm);
@@ -316,6 +322,13 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     completions.emplace(busy_until[i], i);
   };
 
+  // Placement and assign read an arrival's cost in the groups of the
+  // machines they probe. With at most two groups the lookahead requests
+  // every group's cost, at most two lines; with more, which rows will be
+  // read is not known ahead, so it requests none.
+  const std::size_t cost_groups =
+      instance.num_groups() <= 2 ? instance.num_groups() : 0;
+
   const bool repair_enabled = options.repair_every > 0.0 &&
                               options.repair_budget > 0 && m >= 2;
 
@@ -449,6 +462,21 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
         break;
       }
       case Kind::kArrival: {
+        // An arrival's state sits at a shuffled job id and misses the
+        // cache, so request it a fixed distance ahead. A prefetch reads
+        // and writes no program state, so outputs cannot depend on it.
+        // Written inline: GCC deletes a call to a function whose body
+        // is only prefetches, as a call without effects.
+        if (submitted + kArrivalLookahead < total) {
+          const JobId ahead = order[submitted + kArrivalLookahead];
+          __builtin_prefetch(arrival_time.data() + ahead, 1);
+          __builtin_prefetch(completion_time.data() + ahead, 1);
+          __builtin_prefetch(queue_seen.data() + ahead, 1);
+          schedule.prefetch(ahead);
+          for (GroupId g = 0; g < cost_groups; ++g) {
+            __builtin_prefetch(instance.group_row(g).data() + ahead);
+          }
+        }
         const JobId j = order[submitted];
         arrival_time[j] = now;
         const MachineId target = placement.place(view, j, place_rng);

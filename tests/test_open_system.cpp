@@ -2,10 +2,10 @@
 // validation and byte-exact persistence, placement-policy parity with the
 // centralized baselines, the rejection of runs without arrivals, repair
 // thread-invariance at 1/4/8 workers, halt/checkpoint/resume equivalence
-// (report JSON + metrics snapshot + trace suffix), Section IV's claim that
-// repair lowers the response time, the completion order on equal horizons,
-// and the heap-vs-mapped InstanceStore leg. See docs/open-system.md for the
-// determinism contract.
+// (report JSON + metrics snapshot + trace suffix), the end of the arrival
+// lookahead, Section IV's claim that repair lowers the response time, the
+// completion order on equal horizons, and the heap-vs-mapped InstanceStore
+// leg. See docs/open-system.md for the determinism contract.
 
 #include "dist/open_system/open_engine.hpp"
 
@@ -140,6 +140,22 @@ TEST(ArrivalPlan, ArrivalTimesArePureAndNonDecreasing) {
 
 TEST(ArrivalPlan, TrivialPlanRefusesToEmitTimes) {
   EXPECT_THROW((void)ArrivalPlan{}.arrival_times(1), std::invalid_argument);
+}
+
+TEST(ArrivalPlan, SubnormalRateIsRefusedInsteadOfAnInfiniteTime) {
+  // 1e-310 is positive and finite, so validate() accepts it, but a unit
+  // gap divided by it overflows to +inf.
+  const ArrivalPlan plan = ArrivalPlan::poisson(1e-310, 1);
+  try {
+    const std::vector<double> times = plan.arrival_times(1);
+    ADD_FAILURE() << "arrival_times returned " << times.front();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ArrivalPlan: invalid rate"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ----- placement policies -----
@@ -440,6 +456,122 @@ TEST(OpenSystemEngine, HaltResumeReproducesTheUninterruptedRunByteForByte) {
   // Resume rebuilds the completion queue from the checkpoint; at least
   // one split must hand it more than one in-service machine.
   EXPECT_GE(busiest_halt, 2u);
+}
+
+// ----- the end of the arrival lookahead -----
+
+// The event loop prefetches the state of the job admitted 16 arrivals
+// ahead, and only while that arrival is part of the run. A prefetch
+// changes no state, so these runs, on both sides of that edge, keep the
+// digests the engine gave before it looked ahead at all.
+constexpr std::size_t kLookahead = 16;
+
+std::uint64_t digest_of(const Outcome& outcome) {
+  golden::Digest digest;
+  digest.add(outcome.report_json);
+  digest.add(outcome.fingerprint);
+  digest.add(outcome.metrics_json);
+  for (const Cost cmax : outcome.makespan_trace) digest.add(cmax);
+  for (const obs::TraceEvent& event : outcome.trace) {
+    digest.add(event.ts_us);
+    digest.add(event.name);
+  }
+  return digest.value();
+}
+
+TEST(OpenSystemEngine, ArrivalCountsAroundTheLookaheadKeepTheirDigests) {
+  // Two groups, so the lookahead also prefetches cost rows; two_choices
+  // placement reads them.
+  const Instance instance =
+      gen::two_cluster_uniform(3, 2, 40, 1.0, 100.0, 6);
+  const ArrivalPlan plan = ArrivalPlan::poisson(0.05, 11);
+  const auto two_choices = make_placement("two_choices:2");
+  const std::pair<std::size_t, std::uint64_t> pinned[] = {
+      {1, 0xF3C19FFD21DD8337ULL},
+      {kLookahead - 1, 0xD981FAFD7B2695F3ULL},
+      {kLookahead, 0xB052EF247C96B011ULL},
+      {kLookahead + 1, 0x5E1998444A353D69ULL},
+  };
+  for (const auto& [arrivals, digest] : pinned) {
+    OpenSystemOptions options = open_options(plan);
+    options.placement = two_choices.get();
+    options.num_arrivals = arrivals;
+    const Outcome outcome = run_open(instance, options, kSeed);
+    EXPECT_EQ(digest_of(outcome), digest)
+        << arrivals << " arrivals: digest 0x" << std::hex
+        << digest_of(outcome);
+    EXPECT_NE(outcome.report_json.find("\"open_jobs_completed\":" +
+                                       std::to_string(arrivals) + ","),
+              std::string::npos)
+        << outcome.report_json;
+  }
+}
+
+TEST(OpenSystemEngine, InstanceSmallerThanTheLookaheadKeepsItsDigest) {
+  // Fewer jobs than the lookahead distance: no arrival is ever prefetched.
+  // Five groups, beyond the two-group cost prefetch.
+  const Instance instance = gen::uniform_unrelated(5, 12, 1.0, 50.0, 8);
+  ASSERT_LT(instance.num_jobs(), kLookahead);
+  const ArrivalPlan plan = ArrivalPlan::bursty(0.2, 0.02, 30.0, 20.0, 4);
+  const Outcome outcome = run_open(instance, open_options(plan), kSeed);
+  EXPECT_EQ(digest_of(outcome), 0x1797786269FBDCA1ULL)
+      << "digest 0x" << std::hex << digest_of(outcome);
+  EXPECT_NE(outcome.report_json.find("\"open_jobs_completed\":12,"),
+            std::string::npos)
+      << outcome.report_json;
+}
+
+TEST(OpenSystemEngine, HaltResumeInsideTheLastLookaheadArrivals) {
+  const Instance instance =
+      gen::two_cluster_uniform(3, 2, 40, 1.0, 100.0, 6);
+  const ArrivalPlan plan = ArrivalPlan::poisson(0.05, 11);
+  const auto two_choices = make_placement("two_choices:2");
+  OpenSystemOptions options = open_options(plan);
+  options.placement = two_choices.get();
+  const Outcome uninterrupted = run_open(instance, options, kSeed);
+  const std::size_t total = instance.num_jobs();
+
+  const UniformPeerSelector selector;
+  const OpenSystemEngine engine(
+      pairwise::kernel_registry().get("basic-greedy"), selector);
+  Schedule probe(instance);
+  const std::uint64_t events = engine.run(probe, options, kSeed).events;
+
+  // Halt after every event; resume those whose next arrival lies within
+  // the last 16, where the lookahead has run past the end of the order.
+  std::size_t resumed_inside = 0;
+  for (std::uint64_t halt_at = 1; halt_at < events; ++halt_at) {
+    OpenCheckpoint checkpoint;
+    OpenSystemOptions halt_options = options;
+    halt_options.halt_after_events = halt_at;
+    halt_options.checkpoint_out = &checkpoint;
+    Schedule halted(instance);
+    ASSERT_TRUE(engine.run(halted, halt_options, kSeed).halted);
+    if (checkpoint.submitted + kLookahead < total ||
+        checkpoint.submitted >= total) {
+      continue;
+    }
+    ++resumed_inside;
+    std::stringstream bytes;
+    checkpoint.save(bytes);
+    const OpenCheckpoint restored = OpenCheckpoint::load(bytes);
+    obs::Metrics metrics;
+    obs::Tracer tracer;
+    const obs::Context context{&metrics, &tracer};
+    OpenSystemOptions resume_options = options;
+    resume_options.resume = &restored;
+    resume_options.obs = &context;
+    Schedule resumed = restored.make_schedule(instance);
+    const OpenRunReport finished =
+        engine.run(resumed, resume_options, kSeed);
+    EXPECT_EQ(finished.to_json().dump(), uninterrupted.report_json)
+        << "halted at event " << halt_at;
+    EXPECT_EQ(resumed.fingerprint(), uninterrupted.fingerprint)
+        << "halted at event " << halt_at;
+    EXPECT_EQ(metrics.snapshot().dump(), uninterrupted.metrics_json)
+        << "halted at event " << halt_at;
+  }
+  EXPECT_GE(resumed_inside, kLookahead);
 }
 
 // ----- Section IV: background repair absorbs the arrivals -----
