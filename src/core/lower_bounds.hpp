@@ -23,6 +23,13 @@ namespace dlb {
 /// and a prefix goes to cluster 1, with at most one split job (fractional
 /// knapsack argument). Requires num_groups() == 2 and unit scales; throws
 /// std::invalid_argument otherwise. A valid lower bound on the integral OPT.
+///
+/// The ratio order comes from the instance's ratio rank
+/// (core/ratio_rank.hpp), which this call builds if no kernel has yet, by
+/// an O(n) counting pass. When the rank's guard refuses the instance, a
+/// comparator sort on cross products gives the order instead. Under the
+/// guard the two orders differ only among exact duplicates, which add the
+/// same values, so the result has the same bits either way.
 [[nodiscard]] Cost two_cluster_fractional_opt(const Instance& instance);
 
 /// Best available combination of the bounds above for the given instance

@@ -34,6 +34,10 @@
 // one build costs -- builds it on its own thread. Other threads keep the
 // comparator path until an acquire load sees the rank ready. Both paths
 // give the same order, so results never depend on when the switch happens.
+// two_cluster_fractional_opt (core/lower_bounds.hpp) charges a whole
+// build at once, since it orders all n jobs: a run that computes its lower
+// bound first builds the rank there, and its kernels find it ready. On a
+// refused instance the bound keeps its own comparator sort.
 //
 // Memory: the table is 4 B/job, mapped from the kernel through
 // numa::alloc_slab at any size (so rebuilding a rank per instance leaves no

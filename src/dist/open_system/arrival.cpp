@@ -32,6 +32,23 @@ bool positive_finite(double v) noexcept {
   return std::isfinite(v) && v > 0.0;
 }
 
+/// Fewest arrivals one bursty or diurnal cycle may expect. arrival_times
+/// walks the cycle's bins until a unit-rate gap is used up, and a gap is
+/// at most -log(2^-53) < 37, so a cycle that expects at least 2^-20
+/// arrivals ends every walk within about 37 * 2^20 cycles. A smaller
+/// capacity takes longer than any caller waits, and one below a gap's ulp
+/// leaves `gap -= avail` unchanged, so the walk would never end.
+constexpr double kMinCycleArrivals = 0x1p-20;
+
+void require_cycle_capacity(const std::string& field, double capacity) {
+  if (!(capacity >= kMinCycleArrivals)) {
+    invalid_value(field,
+                  "one cycle must expect at least 2^-20 arrivals "
+                  "(rate x duration summed over its bins)",
+                  capacity);
+  }
+}
+
 }  // namespace
 
 const char* arrival_kind_name(ArrivalKind kind) noexcept {
@@ -79,6 +96,8 @@ void ArrivalPlan::validate() const {
       if (!positive_finite(off_duration)) {
         invalid_value("off_duration", "must be > 0 and finite", off_duration);
       }
+      require_cycle_capacity("rate",
+                             rate * on_duration + off_rate * off_duration);
       return;
     case ArrivalKind::kDiurnal: {
       if (trace.empty()) invalid("trace", "must have at least one bin");
@@ -96,6 +115,9 @@ void ArrivalPlan::validate() const {
       if (!positive_finite(bin_duration)) {
         invalid_value("bin_duration", "must be > 0 and finite", bin_duration);
       }
+      double capacity = 0.0;
+      for (const double r : trace) capacity += r * bin_duration;
+      require_cycle_capacity("trace", capacity);
       return;
     }
   }

@@ -57,7 +57,9 @@ struct ArrivalPlan {
   }
 
   /// Throws std::invalid_argument naming the offending field, e.g.
-  /// "ArrivalPlan: invalid rate: must be > 0 and finite, got 0".
+  /// "ArrivalPlan: invalid rate: must be > 0 and finite, got 0". A bursty
+  /// or diurnal cycle must expect at least 2^-20 arrivals (`rate` or
+  /// `trace`), or arrival_times could not finish.
   void validate() const;
 
   /// The arrival rate at virtual time t (piecewise constant).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -29,6 +30,9 @@ constexpr std::size_t kMaxPeerRetries = 2;
 struct Session {
   MachineId initiator = 0;
   MachineId peer = 0;
+  /// Jobs on the pair when planned: the kernel's pool, which no other
+  /// session of the batch can change. Sets the dispatch order only.
+  std::size_t pool = 0;
   bool changed = false;
   std::uint64_t moved = 0;
 };
@@ -59,6 +63,7 @@ class ParallelPlanner {
         locks_(std::make_unique<std::mutex[]>(m())) {
     order_.reserve(m());
     batch_.reserve(m() / 2);
+    dispatch_.reserve(m() / 2);
     if (run.metrics != nullptr) {
       c_sessions_ = &run.metrics->counter("parexchange.sessions");
       c_conflicts_ = &run.metrics->counter("parexchange.conflicts");
@@ -138,7 +143,9 @@ class ParallelPlanner {
       // Epoch-stamped claim marks reset for free as the epoch advances.
       claimed_[initiator] = epoch;
       claimed_[*peer] = epoch;
-      batch_.push_back({initiator, *peer});
+      batch_.push_back({initiator, *peer,
+                        run_.schedule.jobs_on(initiator).size() +
+                            run_.schedule.jobs_on(*peer).size()});
     }
     pending_ = !batch_.empty();
     return pending_;
@@ -153,25 +160,36 @@ class ParallelPlanner {
     // in (min, max) id order, never contend: they keep the phase safe by
     // construction (and visibly ordered under TSan) even if a future
     // kernel reads beyond its pair.
-    const auto run_range = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        Session& session = batch_[s];
-        const MachineId lo = std::min(session.initiator, session.peer);
-        const MachineId hi = std::max(session.initiator, session.peer);
-        const std::scoped_lock guard(locks_[lo], locks_[hi]);
-        const std::uint64_t arrivals_pre =
-            schedule.arrivals(session.initiator) +
-            schedule.arrivals(session.peer);
-        session.changed =
-            run_.kernel.balance(schedule, session.initiator, session.peer);
-        session.moved = schedule.arrivals(session.initiator) +
-                        schedule.arrivals(session.peer) - arrivals_pre;
-      }
+    const auto run_session = [&](Session& session) {
+      const MachineId lo = std::min(session.initiator, session.peer);
+      const MachineId hi = std::max(session.initiator, session.peer);
+      const std::scoped_lock guard(locks_[lo], locks_[hi]);
+      const std::uint64_t arrivals_pre = schedule.arrivals(session.initiator) +
+                                         schedule.arrivals(session.peer);
+      session.changed =
+          run_.kernel.balance(schedule, session.initiator, session.peer);
+      session.moved = schedule.arrivals(session.initiator) +
+                      schedule.arrivals(session.peer) - arrivals_pre;
     };
     if (pool_ != nullptr && batch_.size() > 1) {
-      parallel::parallel_for(*pool_, batch_.size(), run_range);
+      // Largest pool first (ties by session index), claimed one session
+      // at a time: longest-processing-time-first list scheduling, so no
+      // worker is left with a long kernel call after the others finish.
+      // Sessions of a batch commute and each writes its own slot, so the
+      // order changes wall time only.
+      dispatch_.resize(batch_.size());
+      std::iota(dispatch_.begin(), dispatch_.end(), std::size_t{0});
+      std::sort(dispatch_.begin(), dispatch_.end(),
+                [&](std::size_t x, std::size_t y) {
+                  return batch_[x].pool != batch_[y].pool
+                             ? batch_[x].pool > batch_[y].pool
+                             : x < y;
+                });
+      parallel::parallel_for(*pool_, dispatch_.size(), [&](std::size_t k) {
+        run_session(batch_[dispatch_[k]]);
+      });
     } else {
-      run_range(0, batch_.size());
+      for (Session& session : batch_) run_session(session);
     }
 
     // Commit (sequential, in session order).
@@ -212,6 +230,7 @@ class ParallelPlanner {
   std::vector<MachineId> order_;
   std::vector<std::uint64_t> claimed_;
   std::vector<Session> batch_;
+  std::vector<std::size_t> dispatch_;  ///< batch_ indices, largest first.
   std::unique_ptr<std::mutex[]> locks_;
   std::uint64_t next_session_ = 0;  ///< Global id of per-session streams.
   bool pending_ = false;            ///< The planned batch has not run yet.

@@ -29,13 +29,10 @@ std::vector<Result> run_replications(
     }
     return results;
   }
-  parallel_for(*pool, replications,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t rep = begin; rep < end; ++rep) {
-                   stats::Rng rng = stats::Rng::stream(seed, rep);
-                   results[rep] = body(rep, rng);
-                 }
-               });
+  parallel_for(*pool, replications, [&](std::size_t rep) {
+    stats::Rng rng = stats::Rng::stream(seed, rep);
+    results[rep] = body(rep, rng);
+  });
   return results;
 }
 

@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 namespace dlb::parallel {
@@ -85,14 +86,17 @@ void ThreadPool::worker_loop() {
 }
 
 void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
+                  const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  const std::size_t chunks = std::min(count, pool.num_threads() * 4);
-  const std::size_t chunk_size = (count + chunks - 1) / chunks;
-  for (std::size_t begin = 0; begin < count; begin += chunk_size) {
-    const std::size_t end = std::min(count, begin + chunk_size);
-    pool.submit([&body, begin, end] { body(begin, end); });
-  }
+  std::atomic<std::size_t> cursor{0};
+  const auto claim = [&cursor, &body, count] {
+    for (std::size_t i = cursor.fetch_add(1); i < count;
+         i = cursor.fetch_add(1)) {
+      body(i);
+    }
+  };
+  const std::size_t workers = std::min(count, pool.num_threads());
+  for (std::size_t w = 0; w < workers; ++w) pool.submit(claim);
   pool.wait_idle();
 }
 

@@ -61,10 +61,17 @@ class ThreadPool {
   obs::Histogram* obs_task_seconds_ = nullptr;
 };
 
-/// Splits [0, count) into roughly even chunks and runs `body(begin, end)`
-/// on the pool, blocking until completion. `body` must be safe to run
-/// concurrently on disjoint ranges.
+/// Runs `body(i)` once for every i in [0, count) on the pool and blocks
+/// until all calls have returned. Each of min(count, num_threads()) worker
+/// tasks claims the next unclaimed index from one shared cursor, so
+/// indices start in ascending order and a worker that finishes early takes
+/// more: a caller that puts its longest items first gets
+/// longest-processing-time-first list scheduling. Which worker runs an
+/// index, and when, is unspecified, so `body` must be safe to run
+/// concurrently on distinct indices and results must not depend on the
+/// order; writing each result to its own slot does that. `body` must not
+/// throw (see submit()).
 void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t, std::size_t)>& body);
+                  const std::function<void(std::size_t)>& body);
 
 }  // namespace dlb::parallel

@@ -363,19 +363,16 @@ TEST(MakespanCache, ConcurrentDisjointPairMovesThenMakespan) {
   stats::Rng plan_rng(11);
   for (int round = 0; round < 40; ++round) {
     stats::shuffle(order.begin(), order.end(), plan_rng);
-    parallel::parallel_for(
-        pool, kMachines / 2, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t p = begin; p < end; ++p) {
-            MachineId from = order[2 * p];
-            MachineId to = order[2 * p + 1];
-            if (s.load(from) < s.load(to)) std::swap(from, to);
-            std::vector<JobId> jobs;
-            for (const JobId j : s.jobs_on(from)) jobs.push_back(j);
-            for (std::size_t k = 0; k < jobs.size(); k += 3) {
-              s.move(jobs[k], to);
-            }
-          }
-        });
+    parallel::parallel_for(pool, kMachines / 2, [&](std::size_t p) {
+      MachineId from = order[2 * p];
+      MachineId to = order[2 * p + 1];
+      if (s.load(from) < s.load(to)) std::swap(from, to);
+      std::vector<JobId> jobs;
+      for (const JobId j : s.jobs_on(from)) jobs.push_back(j);
+      for (std::size_t k = 0; k < jobs.size(); k += 3) {
+        s.move(jobs[k], to);
+      }
+    });
     expect_cache_matches(s, "concurrent", round);
   }
   EXPECT_TRUE(s.check_consistency());

@@ -158,6 +158,51 @@ TEST(ArrivalPlan, SubnormalRateIsRefusedInsteadOfAnInfiniteTime) {
   }
 }
 
+TEST(ArrivalPlan, CycleTooSmallToUseUpAGapIsRefused) {
+  const auto expect_refused = [](const ArrivalPlan& plan,
+                                 const std::string& field) {
+    try {
+      plan.validate();
+      ADD_FAILURE() << "validate() accepted a plan for " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ArrivalPlan: invalid " + field +
+                                           ": one cycle must expect"),
+                std::string::npos)
+          << e.what();
+    }
+    // arrival_times validates too, so it throws instead of spinning.
+    EXPECT_THROW((void)plan.arrival_times(1), std::invalid_argument) << field;
+  };
+  // Each cycle's capacity is below the ulp of a unit gap: `gap -= avail`
+  // never moved, and the bin walk never ended.
+  ArrivalPlan bursty;
+  bursty.kind = ArrivalKind::kBursty;
+  bursty.rate = 1e-300;
+  bursty.off_rate = 0.0;
+  bursty.on_duration = 1e-10;
+  bursty.off_duration = 1.0;
+  expect_refused(bursty, "rate");
+  ArrivalPlan diurnal;
+  diurnal.kind = ArrivalKind::kDiurnal;
+  diurnal.trace = {1e-310, 0.0};
+  diurnal.bin_duration = 1.0;
+  expect_refused(diurnal, "trace");
+  // Progress of 1e-10 per cycle: about 1e10 cycles per arrival.
+  bursty.rate = 1e-10;
+  bursty.on_duration = 1.0;
+  expect_refused(bursty, "rate");
+  EXPECT_THROW((void)ArrivalPlan::bursty(1e-300, 0.0, 1e-10, 1.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)ArrivalPlan::diurnal({1e-310}, 1.0, 1),
+               std::invalid_argument);
+
+  // The smallest capacity accepted still finishes: 2^-20 per cycle.
+  const ArrivalPlan slowest = ArrivalPlan::bursty(0x1p-21, 0.0, 2.0, 1.0, 1);
+  const std::vector<double> times = slowest.arrival_times(2);
+  EXPECT_TRUE(std::isfinite(times.back()));
+  EXPECT_LE(times.front(), times.back());
+}
+
 // ----- placement policies -----
 
 /// A minimal view over a schedule under construction: work is the

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "core/validation.hpp"
 #include "dist/selector_registry.hpp"
+#include "golden_digest.hpp"
 #include "obs/obs.hpp"
 #include "pairwise/kernel_registry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "stats/rng.hpp"
 
 namespace dlb::dist {
 namespace {
@@ -95,6 +100,57 @@ TEST(ParallelExchangeEngine, ThreadCountInvariance) {
   // come from the sequential commit phase.
   EXPECT_EQ(inline_run.tracer.to_chrome_json().dump(),
             pooled_run.tracer.to_chrome_json().dump());
+}
+
+// Sessions are dispatched largest pool first and claimed one at a time, so
+// with a few crowded machines the workers finish them in an order that
+// changes with the thread count. Everything the run emits must not.
+std::uint64_t skewed_pool_digest(parallel::ThreadPool* pool) {
+  // 24 two-cluster machines; machines 0, 1 and 13 start with 90% of the
+  // 2400 jobs, so a few sessions pool hundreds of jobs and most pool tens.
+  const Instance inst = gen::two_cluster_uniform(12, 12, 2400, 1.0, 100.0, 41);
+  std::vector<MachineId> machine_of(inst.num_jobs());
+  stats::Rng rng(42);
+  for (MachineId& machine : machine_of) {
+    const std::array<MachineId, 3> crowded = {0, 1, 13};
+    machine = rng.below(10) != 0 ? crowded[rng.below(crowded.size())]
+                                 : static_cast<MachineId>(rng.below(24));
+  }
+  Schedule schedule(inst, Assignment(machine_of));
+  obs::Metrics metrics;
+  obs::Tracer tracer;
+  const obs::Context obs{&metrics, &tracer};
+  ParallelEngineOptions options = capped(600);
+  options.record_trace = true;
+  options.pool = pool;
+  options.obs = &obs;
+  const ParallelRunResult result =
+      ParallelExchangeEngine(pairwise::kernel_registry().get("dlb2c"),
+                             uniform())
+          .run(schedule, options, 43);
+  golden::Digest digest;
+  digest.add(result.to_json().dump());
+  digest.add(schedule.fingerprint());
+  digest.add(metrics.snapshot().dump());
+  digest.add(tracer.to_chrome_json().dump());
+  for (const EpochTracePoint& point : result.epoch_trace) {
+    digest.add(point.makespan);
+    digest.add(point.sessions);
+    digest.add(point.migrations);
+  }
+  return digest.value();
+}
+
+TEST(ParallelExchangeEngine, SkewedPoolsKeepOneDigestAtEveryThreadCount) {
+  // Pinned from the engine before sessions were dispatched largest first.
+  constexpr std::uint64_t kPinned = 0x051701287AD6B248ULL;
+  EXPECT_EQ(skewed_pool_digest(nullptr), kPinned);
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    parallel::ThreadPool pool(threads);
+    const std::uint64_t digest = skewed_pool_digest(&pool);
+    EXPECT_EQ(digest, kPinned)
+        << threads << " threads: digest 0x" << std::hex << digest;
+  }
 }
 
 TEST(ParallelExchangeEngine, DeterministicReplay) {

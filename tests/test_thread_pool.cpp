@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 namespace dlb::parallel {
 namespace {
@@ -45,17 +48,57 @@ TEST(ThreadPool, DefaultsToAtLeastOneThread) {
 TEST(ParallelFor, CoversTheWholeRangeExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 1000, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
+  parallel_for(pool, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, ZeroCountIsNoop) {
   ThreadPool pool(2);
   bool ran = false;
-  parallel_for(pool, 0, [&](std::size_t, std::size_t) { ran = true; });
+  parallel_for(pool, 0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+TEST(ParallelFor, SkewedWorkIsClaimedOnceAndSpreadOverWorkers) {
+  // Index 0 is the long item: it does not return until every other index
+  // has run. With a shared cursor the other workers claim all of them
+  // meanwhile; pre-cut chunks would strand the rest of index 0's chunk
+  // behind it until the deadline. Short items also vary 7x in length.
+  constexpr std::size_t kCount = 200;
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(kCount);
+  std::vector<std::thread::id> runner(kCount);
+  std::atomic<std::size_t> short_done{0};
+  bool long_waited_for_all = false;
+  parallel_for(pool, kCount, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    runner[i] = std::this_thread::get_id();
+    if (i == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (short_done.load() < kCount - 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      long_waited_for_all = short_done.load() == kCount - 1;
+      return;
+    }
+    volatile double sink = 0.0;
+    for (std::size_t k = 0; k < 1000 * (1 + i % 7); ++k) sink = sink + 1.0;
+    short_done.fetch_add(1);
+  });
+  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  EXPECT_TRUE(long_waited_for_all);
+  for (std::size_t i = 1; i < kCount; ++i) EXPECT_NE(runner[i], runner[0]) << i;
+}
+
+TEST(ParallelFor, FewerIndicesThanThreads) {
+  ThreadPool pool(8);
+  for (const std::size_t count : {1u, 2u, 7u}) {
+    std::vector<std::atomic<int>> hits(count);
+    parallel_for(pool, count, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << count;
+  }
 }
 
 TEST(MonteCarlo, SequentialAndPooledResultsMatch) {
