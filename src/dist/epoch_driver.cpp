@@ -1,8 +1,7 @@
 #include "dist/epoch_driver.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -110,32 +109,20 @@ void EpochRun::record_flight(bool cmax_from_loads) {
   // The recorder keeps the newest window, so long runs retain the tail of
   // the descent.
   if (flight == nullptr) return;
-  Cost scanned = 0.0;
-  Cost cmin = std::numeric_limits<Cost>::infinity();
-  std::size_t queue_max = 0;
-  for (const MachineId machine : churn.live_machines()) {
-    const Cost load = schedule.load(machine);
-    scanned = std::max(scanned, load);
-    cmin = std::min(cmin, load);
-    queue_max = std::max(queue_max, schedule.jobs_on(machine).size());
-  }
-  const Cost cmax = cmax_from_loads ? scanned : schedule.makespan();
-  if (!std::isfinite(cmin)) cmin = cmax;
   obs::FlightSample sample;
   sample.round = result.epochs;
-  sample.cmax = cmax;
-  sample.imbalance = cmax - cmin;
+  obs::sample_loads(sample, schedule, churn.live_machines(),
+                    cmax_from_loads
+                        ? std::nullopt
+                        : std::optional<Cost>(schedule.makespan()));
   sample.exchanges = result.exchanges;
   sample.migrations = migrations();
-  sample.queue_max = queue_max;
   flight->record(sample);
 }
 
 void EpochRun::fill_checkpoint(Checkpoint& ck) {
-  const std::size_t m = schedule.num_machines();
   ck = Checkpoint{};
-  ck.num_machines = m;
-  ck.num_jobs = schedule.num_jobs();
+  ck.freeze(schedule);
   ck.epochs = result.epochs;
   ck.initial_makespan = result.initial_makespan;
   ck.best_makespan = result.best_makespan;
@@ -144,9 +131,6 @@ void EpochRun::fill_checkpoint(Checkpoint& ck) {
   ck.migrations = migrations();
   const auto live = schedule.live_mask();
   ck.live.assign(live.begin(), live.end());
-  ck.assignment = schedule.assignment().raw();
-  ck.loads.resize(m);
-  for (MachineId i = 0; i < m; ++i) ck.loads[i] = schedule.load(i);
   ck.churn_cursor = churn.cursor();
   ck.churn_queue = churn.pending();
   ck.churn = churn.counters();

@@ -3,28 +3,14 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
-#include "core/assignment.hpp"
 #include "dist/text_codec.hpp"
 
 namespace dlb::dist {
 
 Schedule OpenCheckpoint::make_schedule(const Instance& instance) const {
-  if (instance.num_machines() != num_machines ||
-      instance.num_jobs() != num_jobs) {
-    throw std::invalid_argument(
-        "OpenCheckpoint::make_schedule: instance shape mismatch (checkpoint "
-        "is for " +
-        std::to_string(num_machines) + " machines / " +
-        std::to_string(num_jobs) + " jobs, instance has " +
-        std::to_string(instance.num_machines()) + " / " +
-        std::to_string(instance.num_jobs()) + ")");
-  }
-  Schedule schedule(instance, Assignment(assignment));
-  if (!loads.empty()) schedule.restore_loads(loads);
-  return schedule;
+  return FrozenSchedule::make_schedule(instance, "OpenCheckpoint");
 }
 
 void OpenCheckpoint::save(std::ostream& out) const {
@@ -41,8 +27,7 @@ void OpenCheckpoint::save(std::ostream& out) const {
       << place_rng[2] << ' ' << place_rng[3] << "\n";
   out << "repair_rng " << repair_rng[0] << ' ' << repair_rng[1] << ' '
       << repair_rng[2] << ' ' << repair_rng[3] << "\n";
-  codec::write_id_row(out, "assignment", assignment, kUnassigned);
-  codec::write_bits_row(out, "loads", loads);
+  write_rows(out);
   codec::write_id_row(out, "in_service", in_service, kNoJob);
   codec::write_bits_row(out, "busy_until", busy_until);
   codec::write_bits_row(out, "completion_time", completion_time);
@@ -76,12 +61,7 @@ OpenCheckpoint OpenCheckpoint::load(std::istream& in) {
   }
   const std::size_t m = ck.num_machines;
   const std::size_t n = ck.num_jobs;
-  ck.assignment = reader.id_row<MachineId>(
-      reader.count("assignment", n, true), kUnassigned, m, "assignment");
-  ck.loads = reader.bits_row(reader.count("loads", m, true), "loads");
-  for (const Cost load : ck.loads) {
-    if (!std::isfinite(load)) reader.fail("non-finite entry in loads");
-  }
+  ck.read_rows(reader);
   ck.in_service = reader.id_row<JobId>(reader.count("in_service", m, true),
                                        kNoJob, n, "in_service");
   ck.busy_until =

@@ -27,6 +27,7 @@
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
+#include "dist/checkpoint.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb::dist {
@@ -34,15 +35,11 @@ namespace dlb::dist {
 /// Sentinel for "machine is serving nothing" in the in_service table.
 inline constexpr JobId kNoJob = std::numeric_limits<JobId>::max();
 
-struct OpenCheckpoint {
-  /// The run seed; resume verifies it matches, since every recomputed pure
-  /// stream (arrivals, shuffle order, service draws) derives from it.
-  std::uint64_t seed = 0;
-  std::size_t num_machines = 0;
-  std::size_t num_jobs = 0;
-  std::size_t total_arrivals = 0;
-
-  double now = 0.0;  ///< Virtual clock at the boundary.
+/// The mutable state of an open-system run besides its schedule and its two
+/// generators. OpenSystemEngine::run works on one instance; a checkpoint
+/// copies it whole and a resume restores it whole.
+struct OpenRunState {
+  double now = 0.0;  ///< Virtual clock.
   std::uint64_t events = 0;
   std::uint64_t bursts = 0;
   std::size_t submitted = 0;
@@ -53,14 +50,6 @@ struct OpenCheckpoint {
   std::uint64_t repair_migrations = 0;
   std::uint64_t repair_changed = 0;
 
-  stats::Rng::State place_rng{};
-  stats::Rng::State repair_rng{};
-
-  /// machine_of per job for the *waiting* jobs only; kUnassigned marks
-  /// jobs not yet arrived, in service, or completed.
-  std::vector<MachineId> assignment;
-  /// Frozen per-machine waiting-load accumulators (ulp-exact resume).
-  std::vector<Cost> loads;
   /// Job in service per machine; kNoJob = idle.
   std::vector<JobId> in_service;
   /// Completion horizon per machine (meaningful where in_service != kNoJob).
@@ -70,6 +59,18 @@ struct OpenCheckpoint {
   /// Per-job queue length observed at arrival (waiting + in service on the
   /// chosen machine); meaningful for submitted jobs only.
   std::vector<std::uint64_t> queue_seen;
+};
+
+/// The frozen schedule holds the *waiting* jobs only: kUnassigned marks
+/// jobs not yet arrived, in service, or completed.
+struct OpenCheckpoint : FrozenSchedule, OpenRunState {
+  /// The run seed; resume verifies it matches, since every recomputed pure
+  /// stream (arrivals, shuffle order, service draws) derives from it.
+  std::uint64_t seed = 0;
+  std::size_t total_arrivals = 0;
+
+  stats::Rng::State place_rng{};
+  stats::Rng::State repair_rng{};
 
   /// Rebuilds the frozen waiting schedule. Throws std::invalid_argument if
   /// the instance shape does not match.

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <queue>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -50,12 +50,8 @@ std::uint64_t sub_seed(std::uint64_t seed, std::uint64_t domain) noexcept {
 /// remaining service of the job currently on the machine.
 class EngineView final : public PlacementView {
  public:
-  EngineView(const Schedule& schedule, const std::vector<double>& busy_until,
-             const std::vector<JobId>& in_service, const double& now)
-      : schedule_(&schedule),
-        busy_until_(&busy_until),
-        in_service_(&in_service),
-        now_(&now) {}
+  EngineView(const Schedule& schedule, const OpenRunState& state)
+      : schedule_(&schedule), state_(&state) {}
 
   [[nodiscard]] std::size_t num_targets() const override {
     return schedule_->num_machines();
@@ -65,8 +61,8 @@ class EngineView final : public PlacementView {
   }
   [[nodiscard]] Cost work(MachineId i) const override {
     Cost work = schedule_->load(i);
-    if ((*in_service_)[i] != kNoJob) {
-      work += (*busy_until_)[i] - *now_;
+    if (state_->in_service[i] != kNoJob) {
+      work += state_->busy_until[i] - state_->now;
     }
     return work;
   }
@@ -76,9 +72,7 @@ class EngineView final : public PlacementView {
 
  private:
   const Schedule* schedule_;
-  const std::vector<double>* busy_until_;
-  const std::vector<JobId>* in_service_;
-  const double* now_;
+  const OpenRunState* state_;
 };
 
 }  // namespace
@@ -165,19 +159,8 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   // Mutable run state.
   stats::Rng place_rng(sub_seed(seed, kPlaceDomain));
   stats::Rng repair_rng(sub_seed(seed, kRepairDomain));
-  std::vector<JobId> in_service(m, kNoJob);
-  std::vector<double> busy_until(m, 0.0);
+  OpenRunState state;
   std::vector<double> arrival_time(n, -1.0);
-  std::vector<double> completion_time(n, -1.0);
-  std::vector<std::uint64_t> queue_seen(n, 0);
-  double now = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t bursts = 0;
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::uint64_t repair_exchanges = 0;
-  std::uint64_t repair_migrations = 0;
-  std::uint64_t repair_changed = 0;
 
   if (options.resume != nullptr) {
     const OpenCheckpoint& ck = *options.resume;
@@ -233,22 +216,39 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
                            " in service exceeds submitted " +
                            std::to_string(ck.submitted));
     }
-    now = ck.now;
-    events = ck.events;
-    bursts = ck.bursts;
-    submitted = ck.submitted;
-    completed = ck.completed;
-    repair_exchanges = ck.repair_exchanges;
-    repair_migrations = ck.repair_migrations;
-    repair_changed = ck.repair_changed;
+    // The counts pass, so check each job: an arrived one is in exactly one
+    // of waiting, in service and completed, and any other in none. A job
+    // in two would complete twice and wrap the waiting count.
+    std::vector<std::uint8_t> arrived(n, 0);
+    for (std::size_t k = 0; k < ck.submitted; ++k) arrived[order[k]] = 1;
+    std::vector<std::size_t> places(n, 0);
+    for (const JobId j : ck.in_service) {
+      if (j != kNoJob) ++places[j];
+    }
+    std::size_t finished = 0;
+    for (JobId j = 0; j < n; ++j) {
+      const bool done = ck.completion_time[j] >= 0.0;
+      finished += done ? 1 : 0;
+      places[j] += (schedule.machine_of(j) != kUnassigned ? 1 : 0) +
+                   (done ? 1 : 0);
+      if (places[j] != arrived[j]) {
+        reject("resume", "checkpoint job " + std::to_string(j) +
+                             (arrived[j] != 0 ? " has" : " has not") +
+                             " arrived but is in " +
+                             std::to_string(places[j]) +
+                             " of waiting, in service and completed");
+      }
+    }
+    if (finished != ck.completed) {
+      reject("resume", "checkpoint completed " + std::to_string(ck.completed) +
+                           " but " + std::to_string(finished) +
+                           " jobs have a completion time");
+    }
+    state = ck;
     place_rng = stats::Rng::from_state(ck.place_rng);
     repair_rng = stats::Rng::from_state(ck.repair_rng);
-    in_service = ck.in_service;
-    busy_until = ck.busy_until;
-    completion_time = ck.completion_time;
-    queue_seen = ck.queue_seen;
     // Arrival times of already-admitted jobs are pure data; replay them.
-    for (std::size_t k = 0; k < submitted; ++k) {
+    for (std::size_t k = 0; k < state.submitted; ++k) {
       arrival_time[order[k]] = arrivals[k];
     }
   } else {
@@ -259,6 +259,10 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
                            " is already assigned)");
       }
     }
+    state.in_service.assign(m, kNoJob);
+    state.busy_until.assign(m, 0.0);
+    state.completion_time.assign(n, -1.0);
+    state.queue_seen.assign(n, 0);
   }
 
   OpenRunReport report;
@@ -271,7 +275,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   obs::Tracer* tracer = obs::tracer_of(options.obs);
   obs::FlightRecorder* flight = obs::flight_of(options.obs);
 
-  const EngineView view(schedule, busy_until, in_service, now);
+  const EngineView view(schedule, state);
 
   // Completion queue: one (busy_until, machine) entry per in-service
   // machine, earliest on top. Only start_next fills a slot and only a
@@ -281,7 +285,9 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
       completions;
   for (MachineId i = 0; i < m; ++i) {
-    if (in_service[i] != kNoJob) completions.emplace(busy_until[i], i);
+    if (state.in_service[i] != kNoJob) {
+      completions.emplace(state.busy_until[i], i);
+    }
   }
 
   const auto service_time = [&](MachineId i, JobId j) -> double {
@@ -317,9 +323,9 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
           " (must be finite and >= 0)");
     }
     schedule.unassign(next);
-    in_service[i] = next;
-    busy_until[i] = now + service;
-    completions.emplace(busy_until[i], i);
+    state.in_service[i] = next;
+    state.busy_until[i] = state.now + service;
+    completions.emplace(state.busy_until[i], i);
   };
 
   // Placement and assign read an arrival's cost in the groups of the
@@ -341,85 +347,60 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
       // One derived seed per burst: pure in the burst index, so a resumed
       // run replays the exact burst the uninterrupted run executed.
       const std::uint64_t this_burst =
-          stats::Rng::stream(burst_seed, bursts - 1)();
+          stats::Rng::stream(burst_seed, state.bursts - 1)();
       const ParallelRunResult result =
           ParallelExchangeEngine(*kernel_, *selector_)
               .run(schedule, inner, this_burst);
-      repair_exchanges += result.exchanges;
-      repair_changed += result.changed_exchanges;
+      state.repair_exchanges += result.exchanges;
+      state.repair_changed += result.changed_exchanges;
     } else {
       EngineOptions inner;
       inner.max_exchanges = options.repair_budget;
       const RunResult result =
           ExchangeEngine(*kernel_, *selector_).run(schedule, inner,
                                                    repair_rng);
-      repair_exchanges += result.exchanges;
-      repair_changed += result.changed_exchanges;
+      state.repair_exchanges += result.exchanges;
+      state.repair_changed += result.changed_exchanges;
     }
-    repair_migrations += schedule.migrations() - migrations_pre;
+    state.repair_migrations += schedule.migrations() - migrations_pre;
     // Repair may have parked waiting jobs on idle machines; service is
     // work-conserving, so they start immediately (ascending machine id).
     for (MachineId i = 0; i < m; ++i) {
-      if (in_service[i] == kNoJob) start_next(i);
+      if (state.in_service[i] == kNoJob) start_next(i);
     }
     if (options.record_trace) {
       report.makespan_trace.push_back(schedule.makespan());
     }
     if (tracer != nullptr) {
       tracer->instant(
-          now, 0, "REPAIR", "open",
-          {{"burst", static_cast<std::int64_t>(bursts)},
-           {"waiting", static_cast<std::int64_t>(submitted - completed)}});
+          state.now, 0, "REPAIR", "open",
+          {{"burst", static_cast<std::int64_t>(state.bursts)},
+           {"waiting",
+            static_cast<std::int64_t>(state.submitted - state.completed)}});
     }
     if (flight != nullptr) {
       obs::FlightSample sample;
-      sample.round = bursts;
-      Cost cmax = 0.0;
-      Cost cmin = std::numeric_limits<Cost>::infinity();
-      std::size_t queue_peak = 0;
-      for (MachineId i = 0; i < m; ++i) {
-        const Cost load = schedule.load(i);
-        cmax = std::max(cmax, load);
-        cmin = std::min(cmin, load);
-        queue_peak = std::max(queue_peak, schedule.jobs_on(i).size());
-      }
-      if (!std::isfinite(cmin)) cmin = cmax;
-      sample.cmax = cmax;
-      sample.imbalance = cmax - cmin;
-      sample.exchanges = repair_exchanges;
-      sample.migrations = repair_migrations;
-      sample.queue_max = queue_peak;
+      sample.round = state.bursts;
+      obs::sample_loads(
+          sample, schedule,
+          std::views::iota(MachineId{0}, static_cast<MachineId>(m)));
+      sample.exchanges = state.repair_exchanges;
+      sample.migrations = state.repair_migrations;
       flight->record(sample);
     }
   };
 
   const auto fill_checkpoint = [&](OpenCheckpoint& ck) {
-    ck = OpenCheckpoint{};
+    static_cast<OpenRunState&>(ck) = state;
+    ck.freeze(schedule);
     ck.seed = seed;
-    ck.num_machines = m;
-    ck.num_jobs = n;
     ck.total_arrivals = total;
-    ck.now = now;
-    ck.events = events;
-    ck.bursts = bursts;
-    ck.submitted = submitted;
-    ck.completed = completed;
-    ck.repair_exchanges = repair_exchanges;
-    ck.repair_migrations = repair_migrations;
-    ck.repair_changed = repair_changed;
     ck.place_rng = place_rng.state();
     ck.repair_rng = repair_rng.state();
-    ck.assignment = schedule.assignment().raw();
-    ck.loads.resize(m);
-    for (MachineId i = 0; i < m; ++i) ck.loads[i] = schedule.load(i);
-    ck.in_service = in_service;
-    ck.busy_until = busy_until;
-    ck.completion_time = completion_time;
-    ck.queue_seen = queue_seen;
     if (metrics != nullptr) metrics->counter("checkpoint.saves").add();
     if (tracer != nullptr) {
-      tracer->instant(now, 0, "CHECKPOINT", "checkpoint",
-                      {{"events", static_cast<std::int64_t>(events)}});
+      tracer->instant(state.now, 0, "CHECKPOINT", "checkpoint",
+                      {{"events", static_cast<std::int64_t>(state.events)}});
     }
   };
 
@@ -428,12 +409,12 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   for (;;) {
     const bool have_comp = !completions.empty();
     const double t_comp = have_comp ? completions.top().first : 0.0;
-    const bool have_arr = submitted < total;
+    const bool have_arr = state.submitted < total;
     if (!have_comp && !have_arr) break;  // Drained: nothing can happen.
-    const double t_arr = have_arr ? arrivals[submitted] : 0.0;
+    const double t_arr = have_arr ? arrivals[state.submitted] : 0.0;
     const bool have_rep = repair_enabled;
     const double t_rep =
-        have_rep ? options.repair_every * static_cast<double>(bursts + 1)
+        have_rep ? options.repair_every * static_cast<double>(state.bursts + 1)
                  : 0.0;
 
     enum class Kind { kCompletion, kArrival, kRepair };
@@ -448,16 +429,16 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
       t = t_rep;
     }
 
-    now = t;
-    ++events;
+    state.now = t;
+    ++state.events;
     switch (kind) {
       case Kind::kCompletion: {
         const MachineId comp_machine = completions.top().second;
         completions.pop();
-        const JobId j = in_service[comp_machine];
-        completion_time[j] = now;
-        in_service[comp_machine] = kNoJob;
-        ++completed;
+        const JobId j = state.in_service[comp_machine];
+        state.completion_time[j] = state.now;
+        state.in_service[comp_machine] = kNoJob;
+        ++state.completed;
         start_next(comp_machine);
         break;
       }
@@ -467,38 +448,38 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
         // and writes no program state, so outputs cannot depend on it.
         // Written inline: GCC deletes a call to a function whose body
         // is only prefetches, as a call without effects.
-        if (submitted + kArrivalLookahead < total) {
-          const JobId ahead = order[submitted + kArrivalLookahead];
+        if (state.submitted + kArrivalLookahead < total) {
+          const JobId ahead = order[state.submitted + kArrivalLookahead];
           __builtin_prefetch(arrival_time.data() + ahead, 1);
-          __builtin_prefetch(completion_time.data() + ahead, 1);
-          __builtin_prefetch(queue_seen.data() + ahead, 1);
+          __builtin_prefetch(state.completion_time.data() + ahead, 1);
+          __builtin_prefetch(state.queue_seen.data() + ahead, 1);
           schedule.prefetch(ahead);
           for (GroupId g = 0; g < cost_groups; ++g) {
             __builtin_prefetch(instance.group_row(g).data() + ahead);
           }
         }
-        const JobId j = order[submitted];
-        arrival_time[j] = now;
+        const JobId j = order[state.submitted];
+        arrival_time[j] = state.now;
         const MachineId target = placement.place(view, j, place_rng);
-        queue_seen[j] = schedule.jobs_on(target).size() +
-                        (in_service[target] != kNoJob ? 1 : 0);
+        state.queue_seen[j] = schedule.jobs_on(target).size() +
+                              (state.in_service[target] != kNoJob ? 1 : 0);
         schedule.assign(j, target);
-        ++submitted;
-        if (in_service[target] == kNoJob) start_next(target);
+        ++state.submitted;
+        if (state.in_service[target] == kNoJob) start_next(target);
         break;
       }
       case Kind::kRepair: {
-        ++bursts;
+        ++state.bursts;
         run_burst();
         break;
       }
     }
 
     const bool halt_here = options.halt_after_events.has_value() &&
-                           *options.halt_after_events == events;
+                           *options.halt_after_events == state.events;
     if (options.checkpoint_out != nullptr &&
         (halt_here || (options.checkpoint_every_events != 0 &&
-                       events % options.checkpoint_every_events == 0))) {
+                       state.events % options.checkpoint_every_events == 0))) {
       fill_checkpoint(*options.checkpoint_out);
     }
     if (halt_here) {
@@ -510,21 +491,21 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   // ----- report + observability (cumulative over the logical run) -----
   report.final_makespan = schedule.makespan();
   report.best_makespan = 0.0;
-  report.exchanges = repair_exchanges;
-  report.migrations = repair_migrations;
+  report.exchanges = state.repair_exchanges;
+  report.migrations = state.repair_migrations;
   report.converged = !halted;
   report.halted = halted;
-  report.jobs_submitted = submitted;
-  report.jobs_completed = completed;
+  report.jobs_submitted = state.submitted;
+  report.jobs_completed = state.completed;
   std::uint64_t serving = 0;
   for (MachineId i = 0; i < m; ++i) {
-    if (in_service[i] != kNoJob) ++serving;
+    if (state.in_service[i] != kNoJob) ++serving;
   }
   report.jobs_in_service = serving;
-  report.jobs_waiting = submitted - completed - serving;
-  report.repair_bursts = bursts;
-  report.events = events;
-  report.end_time = now;
+  report.jobs_waiting = state.submitted - state.completed - serving;
+  report.repair_bursts = state.bursts;
+  report.events = state.events;
+  report.end_time = state.now;
 
   // Percentiles come from obs::Histogram buckets, and the mean from an
   // exact sum accumulated in job-id order — both invariant across any
@@ -540,18 +521,18 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   std::uint64_t response_count = 0;
   std::uint64_t queue_max = 0;
   for (JobId j = 0; j < n; ++j) {
-    if (completion_time[j] >= 0.0) {
-      const double response = completion_time[j] - arrival_time[j];
+    if (state.completion_time[j] >= 0.0) {
+      const double response = state.completion_time[j] - arrival_time[j];
       response_hist.observe(response);
       if (m_response != nullptr) m_response->observe(response);
       response_sum += response;
       ++response_count;
     }
     if (arrival_time[j] >= 0.0) {
-      queue_hist.observe(static_cast<double>(queue_seen[j]));
+      queue_hist.observe(static_cast<double>(state.queue_seen[j]));
       if (m_queue != nullptr) m_queue->observe(
-          static_cast<double>(queue_seen[j]));
-      queue_max = std::max(queue_max, queue_seen[j]);
+          static_cast<double>(state.queue_seen[j]));
+      queue_max = std::max(queue_max, state.queue_seen[j]);
     }
   }
   if (response_count > 0) {
@@ -570,12 +551,12 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   if (metrics != nullptr) {
     // Cumulative totals added once at the end: a resumed run lands the
     // same totals in a fresh registry as the uninterrupted run did.
-    metrics->counter("open.arrivals").add(submitted);
-    metrics->counter("open.completions").add(completed);
-    metrics->counter("open.repair_bursts").add(bursts);
-    metrics->counter("open.repair_exchanges").add(repair_exchanges);
-    metrics->counter("open.repair_migrations").add(repair_migrations);
-    metrics->counter("open.events").add(events);
+    metrics->counter("open.arrivals").add(state.submitted);
+    metrics->counter("open.completions").add(state.completed);
+    metrics->counter("open.repair_bursts").add(state.bursts);
+    metrics->counter("open.repair_exchanges").add(state.repair_exchanges);
+    metrics->counter("open.repair_migrations").add(state.repair_migrations);
+    metrics->counter("open.events").add(state.events);
   }
   fill_risk_report(report, schedule);
   return report;

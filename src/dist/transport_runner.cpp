@@ -1,10 +1,9 @@
 #include "dist/transport_runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <numeric>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -389,14 +388,7 @@ void TransportRunner::resync_peer_row(
     while (want != authoritative.end() && *want < job) ++want;
     if (want == authoritative.end() || *want != job) replica_->unassign(job);
   }
-  for (const JobId job : authoritative) {
-    if (replica_->machine_of(job) == peer) continue;
-    if (replica_->machine_of(job) == kUnassigned) {
-      replica_->assign(job, peer);
-    } else {
-      replica_->move(job, peer);
-    }
-  }
+  for (const JobId job : authoritative) replica_->move(job, peer);
 }
 
 void TransportRunner::record_flight_rounds() {
@@ -410,24 +402,14 @@ void TransportRunner::record_flight_rounds() {
   while (flight_round_ < complete) {
     obs::FlightSample sample;
     sample.round = flight_round_;
-    Cost cmax = 0.0;
-    Cost cmin = std::numeric_limits<Cost>::infinity();
-    std::size_t queue_max = 0;
-    for (MachineId m = 0; m < machines; ++m) {
-      if (is_dead(m)) continue;
-      const Cost load = replica_->load(m);
-      cmax = std::max(cmax, load);
-      cmin = std::min(cmin, load);
-      queue_max = std::max(queue_max, replica_->jobs_on(m).size());
-    }
-    if (!std::isfinite(cmin)) cmin = cmax;  // everyone dead
-    sample.cmax = cmax;
-    sample.imbalance = cmax - cmin;
+    obs::sample_loads(
+        sample, *replica_,
+        std::views::iota(MachineId{0}, static_cast<MachineId>(machines)) |
+            std::views::filter([&](MachineId m) { return !is_dead(m); }));
     sample.exchanges = counters_.exchanges;
     sample.migrations = counters_.migrations;
     sample.frames = counters_.frames_sent;
     sample.retries = counters_.retries;
-    sample.queue_max = queue_max;
     flight_->record(sample);
     ++flight_round_;
   }
@@ -498,7 +480,6 @@ void TransportRunner::handle_request(const net::Frame& frame) {
   reply.token = token;
   if (draining_) {
     reply.type = net::FrameType::kReject;
-    ++counters_.rejects_sent;
   } else {
     reply.type = net::FrameType::kAccept;
     reply.payload = net::encode_jobs(sorted_jobs(frame.to));
@@ -588,7 +569,6 @@ void TransportRunner::handle_reject(const net::Frame& frame) {
     if (c_duplicates_) c_duplicates_->add();
     return;
   }
-  ++counters_.rejects_received;
   complete_session(frame.token);
 }
 
@@ -765,13 +745,7 @@ void TransportRunner::adopt(const std::vector<JobId>& jobs,
     throw std::invalid_argument(
         "TransportRunner: adopt target must be a local machine");
   }
-  for (const JobId job : jobs) {
-    if (replica_->machine_of(job) == kUnassigned) {
-      replica_->assign(job, onto);
-    } else {
-      replica_->move(job, onto);
-    }
-  }
+  for (const JobId job : jobs) replica_->move(job, onto);
   replica_->restore_load(onto, canonical_load(onto));
 }
 

@@ -144,8 +144,6 @@ class TransportRunner {
     std::uint64_t sessions_completed = 0;  ///< as initiator, skips incl.
     std::uint64_t exchanges = 0;           ///< sessions that moved jobs
     std::uint64_t migrations = 0;          ///< initiator-side move count
-    std::uint64_t rejects_sent = 0;
-    std::uint64_t rejects_received = 0;
     std::uint64_t transfers_sent = 0;      ///< TRANSFER frames, retries
     std::uint64_t transfers_applied = 0;   ///< distinct sessions applied
     std::uint64_t duplicates_ignored = 0;  ///< deduped receipts

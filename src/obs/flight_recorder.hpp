@@ -11,9 +11,13 @@
 // or before a crash — are the ones worth replaying. Like the tracer, it
 // records only when attached: an engine without a recorder does no work.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "stats/json.hpp"
@@ -35,6 +39,27 @@ struct FlightSample {
 
   friend bool operator==(const FlightSample&, const FlightSample&) = default;
 };
+
+/// Sets `sample`'s cmax (the largest load over `machines`, unless `cmax` is
+/// given), imbalance (cmax minus the smallest load; 0 over no machine) and
+/// queue_max (the longest job list) from a schedule's loads and job lists.
+template <typename Schedule, typename Machines>
+void sample_loads(FlightSample& sample, const Schedule& schedule,
+                  Machines&& machines, std::optional<double> cmax = {}) {
+  double scanned = 0.0;
+  double cmin = std::numeric_limits<double>::infinity();
+  std::uint64_t queue_max = 0;
+  for (const auto machine : machines) {
+    const double load = schedule.load(machine);
+    scanned = std::max(scanned, load);
+    cmin = std::min(cmin, load);
+    queue_max = std::max<std::uint64_t>(queue_max,
+                                        schedule.jobs_on(machine).size());
+  }
+  sample.cmax = cmax.value_or(scanned);
+  sample.imbalance = sample.cmax - (std::isfinite(cmin) ? cmin : sample.cmax);
+  sample.queue_max = queue_max;
+}
 
 struct FlightRecorderOptions {
   std::size_t capacity = 1 << 12;  ///< samples retained (newest win)
