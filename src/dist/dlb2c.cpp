@@ -13,6 +13,10 @@ bool Dlb2cKernel::balance(Schedule& schedule, MachineId a, MachineId b) const {
     throw std::invalid_argument(
         "Dlb2cKernel: needs two clusters of identical machines");
   }
+  // Two empty machines pool no job: both splits would write nothing.
+  if (schedule.jobs_on(a).empty() && schedule.jobs_on(b).empty()) {
+    return false;
+  }
   if (instance.group_of(a) == instance.group_of(b)) {
     static const pairwise::GreedyPairBalanceKernel same_cluster;
     return same_cluster.balance(schedule, a, b);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "centralized/clb2c.hpp"
 #include "centralized/exact_bnb.hpp"
 #include "core/generators.hpp"
@@ -17,6 +22,39 @@ TEST(Dlb2cKernel, RejectsWrongInstanceShape) {
   Schedule s(identical, Assignment::all_on(2, 0));
   const Dlb2cKernel kernel;
   EXPECT_THROW(kernel.balance(s, 0, 1), std::invalid_argument);
+  // Two empty machines still meet the shape check first.
+  EXPECT_THROW(kernel.balance(s, 1, 2), std::invalid_argument);
+}
+
+TEST(Dlb2cKernel, EmptyPairChangesNothing) {
+  // 3+2 machines, every job on machine 0. Machine 1 held two jobs and gave
+  // them back, so its load is a rounding residue of that history.
+  const Instance inst = Instance::clustered(
+      {3, 2}, {{0.1, 0.2, 0.7, 0.3}, {0.9, 0.4, 0.1, 0.6}});
+  Schedule s(inst, Assignment::all_on(4, 0));
+  s.move(0, 1);
+  s.move(1, 1);
+  s.move(0, 0);
+  s.move(1, 0);
+  ASSERT_TRUE(s.jobs_on(1).empty());
+  ASSERT_NE(s.load(1), 0.0);
+  const std::vector<MachineId> assignment = s.assignment().raw();
+  const std::uint64_t migrations = s.migrations();
+  std::vector<std::uint64_t> load_bits;
+  for (MachineId i = 0; i < 5; ++i) {
+    load_bits.push_back(std::bit_cast<std::uint64_t>(s.load(i)));
+  }
+  const Dlb2cKernel kernel;
+  // Same-cluster pairs in either cluster, and cross-cluster pairs.
+  for (const auto& [a, b] : {std::pair<MachineId, MachineId>{1, 2},
+                             {3, 4}, {1, 3}, {4, 2}}) {
+    EXPECT_FALSE(kernel.balance(s, a, b)) << a << "," << b;
+  }
+  EXPECT_EQ(s.assignment().raw(), assignment);
+  EXPECT_EQ(s.migrations(), migrations);
+  for (MachineId i = 0; i < 5; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.load(i)), load_bits[i]) << i;
+  }
 }
 
 TEST(Dlb2cKernel, DispatchesOnClusterMembership) {
