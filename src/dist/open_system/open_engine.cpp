@@ -1,6 +1,7 @@
 #include "dist/open_system/open_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <numeric>
@@ -507,42 +508,47 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   report.events = state.events;
   report.end_time = state.now;
 
-  // Percentiles come from obs::Histogram buckets, and the mean from an
-  // exact sum accumulated in job-id order — both invariant across any
-  // halt/resume split because they are computed from the full per-job
-  // arrays at the end of the run, never incrementally.
-  obs::Histogram response_hist;
-  obs::Histogram queue_hist;
+  // Percentiles come from log2 bucket counts under obs::Histogram's bucket
+  // rule, kept in plain local arrays, and the mean from an exact sum
+  // accumulated in job-id order — both invariant across any halt/resume
+  // split because they are computed from the full per-job arrays at the
+  // end of the run, never incrementally.
+  std::array<std::uint64_t, obs::Histogram::kNumBuckets> response_counts{};
+  std::array<std::uint64_t, obs::Histogram::kNumBuckets> queue_counts{};
   obs::Histogram* m_response =
       metrics != nullptr ? &metrics->histogram("open.response_time") : nullptr;
   obs::Histogram* m_queue =
       metrics != nullptr ? &metrics->histogram("open.queue_len") : nullptr;
   double response_sum = 0.0;
+  double queue_sum = 0.0;
   std::uint64_t response_count = 0;
   std::uint64_t queue_max = 0;
   for (JobId j = 0; j < n; ++j) {
     if (state.completion_time[j] >= 0.0) {
       const double response = state.completion_time[j] - arrival_time[j];
-      response_hist.observe(response);
+      ++response_counts[obs::Histogram::bucket_index(response)];
       if (m_response != nullptr) m_response->observe(response);
       response_sum += response;
       ++response_count;
     }
     if (arrival_time[j] >= 0.0) {
-      queue_hist.observe(static_cast<double>(state.queue_seen[j]));
-      if (m_queue != nullptr) m_queue->observe(
-          static_cast<double>(state.queue_seen[j]));
+      const auto queue = static_cast<double>(state.queue_seen[j]);
+      ++queue_counts[obs::Histogram::bucket_index(queue)];
+      if (m_queue != nullptr) m_queue->observe(queue);
+      queue_sum += queue;
       queue_max = std::max(queue_max, state.queue_seen[j]);
     }
   }
   if (response_count > 0) {
     report.response_mean = response_sum / static_cast<double>(response_count);
   }
-  const auto response_snapshot = response_hist.snapshot();
+  const auto response_snapshot =
+      obs::Histogram::snapshot_of(response_counts, response_sum);
   report.response_p50 = response_snapshot.quantile_bound(0.50);
   report.response_p95 = response_snapshot.quantile_bound(0.95);
   report.response_p99 = response_snapshot.quantile_bound(0.99);
-  const auto queue_snapshot = queue_hist.snapshot();
+  const auto queue_snapshot =
+      obs::Histogram::snapshot_of(queue_counts, queue_sum);
   report.queue_p50 = queue_snapshot.quantile_bound(0.50);
   report.queue_p95 = queue_snapshot.quantile_bound(0.95);
   report.queue_p99 = queue_snapshot.quantile_bound(0.99);

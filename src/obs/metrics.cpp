@@ -25,13 +25,23 @@ void Histogram::observe(double v) noexcept {
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
-  Snapshot snap;
-  snap.count = count();
-  snap.sum = sum();
+  std::array<std::uint64_t, kNumBuckets> counts;
   for (int k = 0; k < kNumBuckets; ++k) {
-    const std::uint64_t n = buckets_[k].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    snap.buckets.emplace_back(std::ldexp(1.0, k + kMinExp), n);
+    counts[k] = buckets_[k].load(std::memory_order_relaxed);
+  }
+  Snapshot snap = snapshot_of(counts, sum());
+  snap.count = count();
+  return snap;
+}
+
+Histogram::Snapshot Histogram::snapshot_of(
+    const std::array<std::uint64_t, kNumBuckets>& counts, double sum) {
+  Snapshot snap;
+  snap.sum = sum;
+  for (int k = 0; k < kNumBuckets; ++k) {
+    if (counts[k] == 0) continue;
+    snap.count += counts[k];
+    snap.buckets.emplace_back(std::ldexp(1.0, k + kMinExp), counts[k]);
   }
   return snap;
 }

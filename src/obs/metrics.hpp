@@ -8,6 +8,7 @@
 // through stats::Json with names in sorted order, which keeps the output
 // byte-deterministic for a deterministic workload.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -61,6 +62,10 @@ class Histogram {
 
   void observe(double v) noexcept;
 
+  /// The bucket observe() counts v in: the one bucket rule, shared with
+  /// callers that count buckets in plain local arrays.
+  [[nodiscard]] static int bucket_index(double v) noexcept;
+
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
   }
@@ -79,10 +84,12 @@ class Histogram {
     [[nodiscard]] double quantile_bound(double q) const noexcept;
   };
   [[nodiscard]] Snapshot snapshot() const;
+  /// The snapshot of plain per-bucket counts (indexed by bucket_index)
+  /// whose samples sum to `sum`.
+  [[nodiscard]] static Snapshot snapshot_of(
+      const std::array<std::uint64_t, kNumBuckets>& counts, double sum);
 
  private:
-  static int bucket_index(double v) noexcept;
-
   std::atomic<std::uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};

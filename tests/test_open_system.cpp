@@ -370,6 +370,53 @@ TEST(OpenSystemEngine, DrainsEveryArrivalAndReportsPercentiles) {
   EXPECT_NE(outcome.report_json.find("\"risk_jobs\""), std::string::npos);
 }
 
+// The report counts its percentiles in run-local buckets under
+// obs::Histogram's bucket rule, so an attached sink's histograms must give
+// the same bounds.
+TEST(OpenSystemEngine, ReportPercentilesEqualTheSinkHistogramBounds) {
+  const UniformPeerSelector selector;
+  const OpenSystemEngine engine(pairwise::kernel_registry().get("dlb2c"),
+                                selector);
+  const auto sink_snapshots = [&](const Instance& instance,
+                                  OpenSystemOptions options) {
+    obs::Metrics metrics;
+    obs::Tracer tracer;
+    const obs::Context context{&metrics, &tracer};
+    options.obs = &context;
+    Schedule schedule(instance);
+    const OpenRunReport report = engine.run(schedule, options, kSeed);
+    const auto response = metrics.histogram("open.response_time").snapshot();
+    const auto queue = metrics.histogram("open.queue_len").snapshot();
+    EXPECT_EQ(response.count, report.jobs_completed);
+    EXPECT_EQ(queue.count, report.jobs_submitted);
+    EXPECT_EQ(report.response_p50, response.quantile_bound(0.50));
+    EXPECT_EQ(report.response_p95, response.quantile_bound(0.95));
+    EXPECT_EQ(report.response_p99, response.quantile_bound(0.99));
+    EXPECT_EQ(report.queue_p50, queue.quantile_bound(0.50));
+    EXPECT_EQ(report.queue_p95, queue.quantile_bound(0.95));
+    EXPECT_EQ(report.queue_p99, queue.quantile_bound(0.99));
+    return response;
+  };
+
+  const ArrivalPlan poisson = ArrivalPlan::poisson(0.3, 13);
+  const auto busy = sink_snapshots(
+      gen::two_cluster_uniform(3, 2, 200, 1.0, 20.0, 8), open_options(poisson));
+  EXPECT_GT(busy.buckets.size(), 3u);
+
+  // Every job arrives at t = 2^60, where a cost of 1 rounds away: those
+  // jobs complete at their arrival time, a response of 0 in bucket 0.
+  std::vector<Cost> costs;
+  for (std::size_t j = 0; j < 24; ++j) costs.push_back(j % 4 == 0 ? 4e3 : 1.0);
+  const ArrivalPlan late = ArrivalPlan::diurnal({0.0, 1e20}, 0x1p60, 3);
+  OpenSystemOptions options;
+  options.arrivals = &late;
+  const auto zero = sink_snapshots(Instance::identical(4, costs), options);
+  ASSERT_FALSE(zero.buckets.empty());
+  EXPECT_EQ(zero.buckets.front().first,
+            std::ldexp(1.0, obs::Histogram::kMinExp));
+  EXPECT_GT(zero.buckets.size(), 1u);
+}
+
 TEST(OpenSystemEngine, NumArrivalsCapsTheAdmittedJobs) {
   const Instance instance = gen::identical_uniform(3, 20, 1.0, 50.0, 4);
   const ArrivalPlan plan = ArrivalPlan::poisson(0.1, 5);
