@@ -4,7 +4,9 @@
 #include <cmath>
 #include <initializer_list>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -33,6 +35,47 @@ void check_shape(const FrozenSchedule& frozen, const Instance& instance,
   }
 }
 
+/// Refuses load bits the assignment cannot explain. Each machine's load is
+/// recomputed in ascending job id, which is exact up to (n_i + 1)·u·Σ|p|
+/// over its n_i resident jobs. The stored bits are a running sum of every
+/// attach and detach the machine saw, so they also carry the rounding of a
+/// history the checkpoint does not hold: an empty machine can keep a
+/// residue, and a long run drifts by a few ulps. No load can exceed
+/// n·max_cost, so one step rounds by at most u·n·max_cost; the bound allows
+/// 2^32 such steps.
+void check_loads(const FrozenSchedule& frozen, const Instance& instance,
+                 const std::string& where) {
+  if (frozen.loads.empty()) return;
+  const std::size_t m = frozen.num_machines;
+  std::vector<Cost> sum(m, 0.0);
+  std::vector<Cost> abs_sum(m, 0.0);
+  std::vector<std::size_t> count(m, 0);
+  for (JobId j = 0; j < frozen.assignment.size(); ++j) {
+    const MachineId i = frozen.assignment[j];
+    if (i == kUnassigned) continue;
+    const Cost p = instance.cost(i, j);
+    sum[i] += p;
+    abs_sum[i] += std::abs(p);
+    ++count[i];
+  }
+  constexpr Cost kUnitRoundoff = std::numeric_limits<Cost>::epsilon() / 2;
+  constexpr Cost kHistorySteps = 4294967296.0;  // 2^32
+  const Cost drift = kHistorySteps * kUnitRoundoff *
+                     static_cast<Cost>(frozen.num_jobs) * instance.max_cost();
+  for (MachineId i = 0; i < m; ++i) {
+    const Cost bound =
+        static_cast<Cost>(count[i] + 1) * kUnitRoundoff * abs_sum[i] + drift;
+    if (!(std::abs(frozen.loads[i] - sum[i]) <= bound)) {
+      std::ostringstream message;
+      message.precision(17);
+      message << where << ": loads[" << i << "] = " << frozen.loads[i]
+              << " does not match the assignment, whose jobs sum to "
+              << sum[i];
+      throw std::invalid_argument(message.str());
+    }
+  }
+}
+
 }  // namespace
 
 void FrozenSchedule::freeze(const Schedule& schedule) {
@@ -45,7 +88,9 @@ void FrozenSchedule::freeze(const Schedule& schedule) {
 
 Schedule FrozenSchedule::make_schedule(const Instance& instance,
                                        const char* type) const {
-  check_shape(*this, instance, std::string(type) + "::make_schedule");
+  const std::string where = std::string(type) + "::make_schedule";
+  check_shape(*this, instance, where);
+  check_loads(*this, instance, where);
   Schedule schedule(instance, Assignment(assignment));
   if (!loads.empty()) schedule.restore_loads(loads);
   return schedule;
@@ -53,6 +98,7 @@ Schedule FrozenSchedule::make_schedule(const Instance& instance,
 
 void FrozenSchedule::thaw_into(Schedule& schedule) const {
   check_shape(*this, schedule.instance(), "FrozenSchedule::thaw_into");
+  check_loads(*this, schedule.instance(), "FrozenSchedule::thaw_into");
   for (JobId job = 0; job < assignment.size(); ++job) {
     if (assignment[job] == kUnassigned) {
       schedule.unassign(job);
@@ -80,6 +126,18 @@ void FrozenSchedule::read_rows(codec::TextReader& reader) {
 
 Schedule Checkpoint::make_schedule(const Instance& instance) const {
   Schedule schedule = FrozenSchedule::make_schedule(instance, "Checkpoint");
+  // A closed run loses no job: one on no machine waits in churn_queue.
+  std::vector<std::uint8_t> queued(num_jobs, 0);
+  for (const JobId job : churn_queue) {
+    if (job < num_jobs) queued[job] = 1;
+  }
+  for (JobId job = 0; job < assignment.size(); ++job) {
+    if (assignment[job] == kUnassigned && queued[job] == 0) {
+      throw std::invalid_argument(
+          "Checkpoint::make_schedule: job " + std::to_string(job) +
+          " is on no machine and not in churn_queue");
+    }
+  }
   for (MachineId i = 0; i < live.size(); ++i) {
     if (live[i] == 0) schedule.set_live(i, false);
   }

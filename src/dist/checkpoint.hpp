@@ -56,7 +56,9 @@ struct FrozenSchedule {
   /// Copies the shape, assignment and load bits of `schedule`.
   void freeze(const Schedule& schedule);
   /// A new schedule with the frozen assignment and loads. Throws
-  /// std::invalid_argument, naming `type`, if the instance shape differs.
+  /// std::invalid_argument, naming `type`, if the instance shape differs,
+  /// or naming `loads[i]` if a stored load is further from its machine's
+  /// recomputed sum than rounding explains (see checkpoint.cpp).
   [[nodiscard]] Schedule make_schedule(const Instance& instance,
                                        const char* type) const;
   /// The same state reached in place: every job is moved (or unassigned)
@@ -112,7 +114,8 @@ struct Checkpoint : FrozenSchedule {
   std::vector<std::pair<std::string, std::uint64_t>> obs_counters;
 
   /// Rebuilds the frozen schedule: assignment applied, live mask restored.
-  /// Throws std::invalid_argument if the instance shape does not match.
+  /// Throws std::invalid_argument like FrozenSchedule::make_schedule, and
+  /// for a job that is on no machine and not in churn_queue.
   [[nodiscard]] Schedule make_schedule(const Instance& instance) const;
 
   void save(std::ostream& out) const;

@@ -409,15 +409,38 @@ TEST(Checkpoint, LoadRejectsHostileCountsAndIds) {
   }
 }
 
-// A checkpoint built in code skips load's checks. An empty order must end
-// the resumed run instead of spinning through exchange-free epochs.
-TEST(Checkpoint, ResumeWithEmptyOrderEndsTheRun) {
+/// `ck` saved and loaded back, as a file would carry it.
+Checkpoint through_file(const Checkpoint& ck) {
+  std::stringstream bytes;
+  ck.save(bytes);
+  return Checkpoint::load(bytes);
+}
+
+/// The four-machine checkpoint, loaded.
+Checkpoint four_machine_checkpoint() {
   std::string text;
   for (const std::string& line : four_machine_checkpoint_lines()) {
     text += line + "\n";
   }
   std::stringstream bytes(text);
-  Checkpoint ck = Checkpoint::load(bytes);
+  return Checkpoint::load(bytes);
+}
+
+/// The what() of the std::invalid_argument `thaw` throws ("" if none).
+template <typename Thaw>
+std::string refusal(Thaw thaw) {
+  try {
+    thaw();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A checkpoint built in code skips load's checks. An empty order must end
+// the resumed run instead of spinning through exchange-free epochs.
+TEST(Checkpoint, ResumeWithEmptyOrderEndsTheRun) {
+  Checkpoint ck = four_machine_checkpoint();
   ck.order.clear();
   const Instance inst = gen::identical_uniform(4, 12, 1.0, 10.0, 3);
   const pairwise::BasicGreedyKernel kernel;
@@ -431,6 +454,41 @@ TEST(Checkpoint, ResumeWithEmptyOrderEndsTheRun) {
       ExchangeEngine(kernel, selector).run(schedule, options, rng);
   EXPECT_EQ(result.exchanges, ck.exchanges);
   EXPECT_FALSE(result.halted);
+}
+
+// A load the assignment cannot explain used to be restored as is: a run
+// resumed with loads[0] += 1000 reported a makespan near 1031.
+TEST(Checkpoint, ThawRefusesLoadsTheAssignmentCannotExplain) {
+  const Instance inst = gen::identical_uniform(4, 12, 1.0, 10.0, 3);
+  Checkpoint ck = four_machine_checkpoint();
+  EXPECT_NO_THROW((void)ck.make_schedule(inst));
+  ck.loads[0] += 1000.0;
+  const Checkpoint tampered = through_file(ck);
+  EXPECT_NE(refusal([&] { (void)tampered.make_schedule(inst); })
+                .find("Checkpoint::make_schedule: loads[0]"),
+            std::string::npos);
+  Schedule replica(inst, Assignment::round_robin(12, 4));
+  EXPECT_NE(refusal([&] { tampered.thaw_into(replica); })
+                .find("FrozenSchedule::thaw_into: loads[0]"),
+            std::string::npos);
+}
+
+// A job on no machine and in no queue used to vanish from the resumed run,
+// which then finished without it.
+TEST(Checkpoint, MakeScheduleRefusesAJobNeitherPlacedNorQueued) {
+  const Instance inst = gen::identical_uniform(4, 12, 1.0, 10.0, 3);
+  Checkpoint ck = four_machine_checkpoint();
+  ASSERT_TRUE(ck.churn_queue.empty());
+  const MachineId host = ck.assignment[0];
+  ck.loads[host] -= inst.cost(host, 0);
+  ck.assignment[0] = kUnassigned;
+  const Checkpoint tampered = through_file(ck);
+  EXPECT_EQ(refusal([&] { (void)tampered.make_schedule(inst); }),
+            "Checkpoint::make_schedule: job 0 is on no machine and not in "
+            "churn_queue");
+  // Queued, the same job is a crash orphan awaiting re-dispatch.
+  ck.churn_queue = {0};
+  EXPECT_NO_THROW((void)through_file(ck).make_schedule(inst));
 }
 
 }  // namespace
