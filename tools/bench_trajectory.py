@@ -9,10 +9,12 @@ Runs `python3 perfbench/run.py` once per workload declared in
 BENCHMARK.json, untraced, at its default seed 1 and 15 s, one workload
 after another, and writes BENCH_<N>.json at the root of the checkout. The
 file holds each workload's final JSON line (the program's `{"correct",
-"attempted", "failed", "metrics"}` result), the seed and seconds, the
-`git rev-parse HEAD` of the checkout, and the CPU the numbers were
-measured on. Every point of the trajectory uses the same seed and length,
-so the points compare.
+"attempted", "failed", "metrics"}` result) with the guest steal ticks
+read from /proc/stat around that run added as `steal_ticks`, the seed and
+seconds, the `git rev-parse HEAD` of the checkout, and the CPU the
+numbers were measured on. Every point of the trajectory uses the same
+seed and length, so the points compare; steal ticks show which points a
+busy host slowed.
 
 Exit status: 0 when every workload ran and printed a JSON result, 1 when a
 workload failed to build, run or print one (nothing is written then).
@@ -54,11 +56,31 @@ def cpu_model() -> str:
     return "unknown"
 
 
-def run_workload(name: str) -> dict | None:
+def steal_ticks() -> int | None:
+    """The host's guest steal time so far, in USER_HZ ticks over all CPUs
+    (the eighth field of /proc/stat's `cpu` line); None where unreadable."""
+    try:
+        with open("/proc/stat", encoding="utf-8") as handle:
+            fields = handle.readline().split()
+        return int(fields[8]) if fields[0] == "cpu" else None
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def run_workload(name: str, root: str = ROOT, extra: tuple[str, ...] = (),
+                 quiet: bool = False) -> dict | None:
+    """Runs `perfbench/run.py` of the checkout at `root` untraced; returns
+    its JSON result plus the steal ticks of the run, or None on failure.
+    `quiet` holds back the run's stderr unless the run fails."""
     command = [sys.executable, os.path.join("perfbench", "run.py"),
-               "--workload", name, "--trace", "0"]
-    done = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE,
+               "--workload", name, "--trace", "0", *extra]
+    before = steal_ticks()
+    done = subprocess.run(command, cwd=root, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE if quiet else None,
                           text=True, check=False)
+    after = steal_ticks()
+    if quiet and done.returncode != 0:
+        sys.stderr.write(done.stderr[-4000:])
     lines = [line for line in done.stdout.splitlines() if line.strip()]
     if not lines:
         print(f"bench_trajectory: {name}: no output (exit {done.returncode})",
@@ -74,6 +96,9 @@ def run_workload(name: str) -> dict | None:
         print(f"bench_trajectory: {name}: exit {done.returncode}",
               file=sys.stderr)
         return None
+    result["steal_ticks"] = (after - before
+                             if before is not None and after is not None
+                             else None)
     return result
 
 
