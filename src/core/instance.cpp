@@ -5,11 +5,63 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace dlb {
+
+namespace {
+
+struct TypeScan {
+  std::vector<JobId> first;  // the first job of each type; size = type count
+  std::string error;         // empty when the ids obey the rule
+};
+
+/// The job-type rule: every id is below the job count, checked before
+/// anything is sized by an id, and the ids are dense.
+TypeScan scan_job_types(std::span<const JobTypeId> types) {
+  TypeScan scan;
+  std::size_t num_types = 0;
+  for (std::size_t j = 0; j < types.size(); ++j) {
+    if (types[j] >= types.size()) {
+      scan.error = "job " + std::to_string(j) + " has type " +
+                   std::to_string(types[j]) + ", not below the job count " +
+                   std::to_string(types.size());
+      return scan;
+    }
+    num_types = std::max<std::size_t>(num_types, types[j] + std::size_t{1});
+  }
+  scan.first.assign(num_types, kUnassigned);
+  for (std::size_t j = 0; j < types.size(); ++j) {
+    if (scan.first[types[j]] == kUnassigned) {
+      scan.first[types[j]] = static_cast<JobId>(j);
+    }
+  }
+  const auto unused = std::count(scan.first.begin(), scan.first.end(),
+                                 kUnassigned);
+  if (unused != 0) {
+    scan.error = "type ids must be dense: " + std::to_string(unused) +
+                 " of " + std::to_string(num_types) + " types have no job";
+  }
+  return scan;
+}
+
+/// True when equal-typed jobs carry equal distributions (`first` as
+/// scan_job_types returns it).
+bool types_share_dists(std::span<const JobTypeId> types,
+                       const std::vector<JobId>& first,
+                       const cost::CostModel& model) {
+  for (std::size_t j = 0; j < types.size(); ++j) {
+    if (!(model.dist(static_cast<JobId>(j)) == model.dist(first[types[j]]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 Instance::Instance(std::vector<std::vector<Cost>> group_costs,
                    std::vector<GroupId> group_of, std::vector<double> scales)
@@ -105,31 +157,18 @@ Instance::Instance(Borrowed, const Cost* costs, const GroupId* group_of,
                            (all_unit ? "1" : "0"));
   }
   if (types_ != nullptr) {
-    // set_job_types's rule for text instances: ids dense below the count.
     if (num_job_types_ > num_jobs_) {
       throw InstanceFieldError(
           "num_job_types", std::to_string(num_job_types_) + " types for " +
                                std::to_string(num_jobs_) + " jobs");
     }
-    std::vector<bool> seen(num_job_types_, false);
-    std::size_t distinct = 0;
-    for (std::size_t j = 0; j < num_jobs_; ++j) {
-      const JobTypeId t = types_[j];
-      if (t >= num_job_types_) {
-        throw InstanceFieldError(
-            "types", "job " + std::to_string(j) + " has type " +
-                         std::to_string(t) + " of " +
-                         std::to_string(num_job_types_));
-      }
-      if (!seen[t]) {
-        seen[t] = true;
-        ++distinct;
-      }
-    }
-    if (distinct != num_job_types_) {
+    const TypeScan scan = scan_job_types({types_, num_jobs_});
+    if (!scan.error.empty()) throw InstanceFieldError("types", scan.error);
+    if (scan.first.size() != num_job_types_) {
       throw InstanceFieldError(
-          "types", "type ids must be dense: " + std::to_string(distinct) +
-                       " of " + std::to_string(num_job_types_) + " used");
+          "types", std::to_string(scan.first.size()) +
+                       " types used, the header says " +
+                       std::to_string(num_job_types_));
     }
   }
   build_machines_by_group();
@@ -276,42 +315,29 @@ void Instance::set_job_types(std::vector<JobTypeId> type_of) {
   if (type_of.size() != num_jobs_) {
     throw std::invalid_argument("Instance::set_job_types: size mismatch");
   }
-  std::size_t num_types = 0;
-  for (JobTypeId t : type_of) {
-    num_types = std::max<std::size_t>(num_types, t + 1);
+  const TypeScan scan = scan_job_types(type_of);
+  if (!scan.error.empty()) {
+    throw std::invalid_argument("Instance::set_job_types: " + scan.error);
   }
   // Verify the defining property of job types on the group cost rows
   // (scales are per-machine, so equal group rows imply equal costs).
-  std::vector<JobId> representative(num_types, kUnassigned);
   for (JobId j = 0; j < num_jobs_; ++j) {
-    const JobTypeId t = type_of[j];
-    if (representative[t] == kUnassigned) {
-      representative[t] = j;
-      continue;
-    }
     for (GroupId g = 0; g < num_groups(); ++g) {
-      if (group_cost(g, j) != group_cost(g, representative[t])) {
+      if (group_cost(g, j) != group_cost(g, scan.first[type_of[j]])) {
         throw std::invalid_argument(
             "Instance::set_job_types: jobs of equal type must have equal "
             "cost rows");
       }
     }
-    if (cost_model_ &&
-        !(cost_model_->dist(j) == cost_model_->dist(representative[t]))) {
-      throw std::invalid_argument(
-          "Instance::set_job_types: jobs of equal type must have equal "
-          "size distributions");
-    }
   }
-  for (std::size_t t = 0; t < num_types; ++t) {
-    if (representative[t] == kUnassigned) {
-      throw std::invalid_argument(
-          "Instance::set_job_types: type ids must be dense");
-    }
+  if (cost_model_ && !types_share_dists(type_of, scan.first, *cost_model_)) {
+    throw std::invalid_argument(
+        "Instance::set_job_types: jobs of equal type must have equal size "
+        "distributions");
   }
   owned_types_ = std::move(type_of);
   types_ = owned_types_.empty() ? nullptr : owned_types_.data();
-  num_job_types_ = num_types;
+  num_job_types_ = scan.first.size();
 }
 
 void Instance::set_cost_model(cost::CostModel model) {
@@ -319,20 +345,14 @@ void Instance::set_cost_model(cost::CostModel model) {
     throw std::invalid_argument(
         "Instance::set_cost_model: one distribution per job required");
   }
-  if (has_job_types()) {
-    // Risk-adjusting multiplies each cost column by a per-job factor;
-    // types survive that only if equal-typed jobs share a distribution.
-    std::vector<JobId> representative(num_job_types_, kUnassigned);
-    for (JobId j = 0; j < num_jobs_; ++j) {
-      const JobTypeId t = types_[j];
-      if (representative[t] == kUnassigned) {
-        representative[t] = j;
-      } else if (!(model.dist(j) == model.dist(representative[t]))) {
-        throw std::invalid_argument(
-            "Instance::set_cost_model: jobs of equal type must have equal "
-            "size distributions");
-      }
-    }
+  // Risk-adjusting multiplies each cost column by a per-job factor; types
+  // survive that only if equal-typed jobs share a distribution.
+  if (has_job_types() &&
+      !types_share_dists({types_, num_jobs_},
+                         scan_job_types({types_, num_jobs_}).first, model)) {
+    throw std::invalid_argument(
+        "Instance::set_cost_model: jobs of equal type must have equal "
+        "size distributions");
   }
   cost_model_ = std::move(model);
 }

@@ -1,26 +1,26 @@
 #include "core/instance_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/text_codec.hpp"
 
 namespace dlb::io {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("instance_io: " + what);
-}
-
-void expect_token(std::istream& in, const std::string& expected) {
-  std::string token;
-  if (!(in >> token) || token != expected) {
-    fail("expected token '" + expected + "'");
-  }
-}
+/// Group and type ids: any value the id type holds. The Instance rules
+/// refuse ids outside the instance.
+inline constexpr std::size_t kAnyId =
+    std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
 
 }  // namespace
 
@@ -59,71 +59,60 @@ void save_instance(const Instance& instance, std::ostream& out) {
     }
     out << '\n';
   }
-  if (!out) fail("write failed");
+  if (!out) throw std::runtime_error("save_instance: write failed");
 }
 
 Instance load_instance(std::istream& in) {
-  expect_token(in, "dlb-instance");
-  expect_token(in, "v1");
-  std::size_t m = 0, g = 0, n = 0;
-  expect_token(in, "machines");
-  if (!(in >> m)) fail("bad machine count");
-  expect_token(in, "groups");
-  if (!(in >> g)) fail("bad group count");
-  expect_token(in, "jobs");
-  if (!(in >> n)) fail("bad job count");
+  codec::TextReader reader(in, "Instance");
+  reader.header("dlb-instance");
+  const auto m = reader.value<std::size_t>("machines");
+  const auto g = reader.value<std::size_t>("groups");
+  const auto n = reader.value<std::size_t>("jobs");
+  // Without jobs the cost rows hold no bytes to run out of, so only this
+  // bound stops a claimed group count from sizing the rows.
+  if (n == 0 && g > m) {
+    reader.fail("groups count " + std::to_string(g) + " exceeds machines " +
+                std::to_string(m) + " with no jobs");
+  }
+  reader.key("group_of");
+  auto group_of = reader.row<GroupId>(
+      m, [&] { return reader.id<GroupId>(kAnyId, "group_of"); });
+  reader.key("scales");
+  auto scales =
+      reader.row<double>(m, [&] { return reader.next<double>("scales"); });
 
-  expect_token(in, "group_of");
-  std::vector<GroupId> group_of(m);
-  for (auto& x : group_of) {
-    if (!(in >> x)) fail("bad group_of entry");
+  auto section = reader.next<std::string>("costs section");
+  std::optional<std::vector<JobTypeId>> types;
+  if (section == "types") {
+    types = reader.row<JobTypeId>(
+        n, [&] { return reader.id<JobTypeId>(kAnyId, "types"); });
+    section = reader.next<std::string>("costs section");
   }
-  expect_token(in, "scales");
-  std::vector<double> scales(m);
-  for (auto& x : scales) {
-    if (!(in >> x)) fail("bad scale entry");
-  }
-
-  std::string token;
-  if (!(in >> token)) fail("missing costs section");
-  std::vector<JobTypeId> types;
-  if (token == "types") {
-    types.resize(n);
-    for (auto& t : types) {
-      if (!(in >> t)) fail("bad type entry");
-    }
-    if (!(in >> token)) fail("missing costs section");
-  }
-  std::vector<cost::Dist> dists;
-  bool saw_costmodel = false;
-  if (token == "costmodel") {
-    saw_costmodel = true;
-    dists.resize(n);
-    for (JobId j = 0; j < n; ++j) {
-      std::string spec;
-      if (!(in >> spec)) fail("bad costmodel entry");
+  std::optional<cost::CostModel> model;
+  if (section == "costmodel") {
+    std::size_t next_job = 0;
+    model.emplace(reader.row<cost::Dist>(n, [&] {
+      const std::size_t j = next_job++;
+      const auto spec = reader.next<std::string>("costmodel");
       try {
-        dists[j] = cost::parse_dist(spec);
+        return cost::parse_dist(spec);
       } catch (const std::invalid_argument& e) {
-        fail("costmodel entry for job " + std::to_string(j) + ": " +
-             e.what());
+        reader.fail("costmodel entry for job " + std::to_string(j) + ": " +
+                    e.what());
       }
-    }
-    if (!(in >> token)) fail("missing costs section");
+    }));
+    section = reader.next<std::string>("costs section");
   }
-  if (token != "costs") fail("expected 'costs'");
+  if (section != "costs") {
+    reader.fail("expected \"costs\" (got \"" + section + "\")");
+  }
+  auto rows = reader.row<std::vector<Cost>>(g, [&] {
+    return reader.row<Cost>(n, [&] { return reader.next<Cost>("costs"); });
+  });
 
-  std::vector<std::vector<Cost>> rows(g, std::vector<Cost>(n));
-  for (auto& row : rows) {
-    for (auto& c : row) {
-      if (!(in >> c)) fail("bad cost entry");
-    }
-  }
   Instance instance(std::move(rows), std::move(group_of), std::move(scales));
-  if (!types.empty()) instance.set_job_types(std::move(types));
-  if (saw_costmodel) {
-    instance.set_cost_model(cost::CostModel(std::move(dists)));
-  }
+  if (types) instance.set_job_types(std::move(*types));
+  if (model) instance.set_cost_model(std::move(*model));
   return instance;
 }
 
@@ -139,35 +128,30 @@ void save_assignment(const Assignment& assignment, std::ostream& out) {
     }
   }
   out << '\n';
-  if (!out) fail("write failed");
+  if (!out) throw std::runtime_error("save_assignment: write failed");
 }
 
 Assignment load_assignment(std::istream& in) {
-  expect_token(in, "dlb-assignment");
-  expect_token(in, "v1");
-  expect_token(in, "jobs");
-  std::size_t n = 0;
-  if (!(in >> n)) fail("bad job count");
-  Assignment assignment(n);
-  for (JobId j = 0; j < n; ++j) {
-    std::string token;
-    if (!(in >> token)) fail("bad assignment entry");
-    if (token != "-") {
-      assignment.assign(j, static_cast<MachineId>(std::stoul(token)));
-    }
-  }
-  return assignment;
+  codec::TextReader reader(in, "Assignment");
+  reader.header("dlb-assignment");
+  const auto n = reader.value<std::size_t>("jobs");
+  return Assignment(reader.id_row<MachineId>(n, kUnassigned, kUnassigned,
+                                             "assignment"));
 }
 
 void save_instance_file(const Instance& instance, const std::string& path) {
   std::ofstream out(path);
-  if (!out) fail("cannot open for write: " + path);
+  if (!out) {
+    throw std::runtime_error("save_instance_file: cannot open " + path);
+  }
   save_instance(instance, out);
 }
 
 Instance load_instance_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) fail("cannot open for read: " + path);
+  if (!in) {
+    throw std::runtime_error("load_instance_file: cannot open " + path);
+  }
   return load_instance(in);
 }
 

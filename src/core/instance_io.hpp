@@ -18,6 +18,12 @@
 //   dlb-assignment v1
 //   jobs <n>
 //   <m_0> ... <m_{n-1}>                ("-" for unassigned)
+//
+// The loaders read through codec::TextReader (core/text_codec.hpp): bytes
+// that do not fit the format throw std::runtime_error naming the row
+// ("Instance::load: ..." / "Assignment::load: ..."), and values the
+// Instance rules refuse throw std::invalid_argument. No row is sized from
+// a count before its entries are read.
 
 #include <iosfwd>
 #include <string>

@@ -17,10 +17,6 @@
 //   * two sessions on disjoint machine pairs touch disjoint entries of
 //     every array, which is what lets ParallelExchangeEngine run sessions
 //     concurrently without synchronising on the table itself;
-//   * the slab is first-touched in shards (core/numa.hpp), so on a
-//     multi-socket box its pages spread across NUMA nodes. Placement
-//     never changes contents: results are bitwise identical at any
-//     DLB_NUMA_SHARDS setting;
 //   * every load change records its machine in a touched set (a flag per
 //     machine plus a list), which Schedule::makespan() drains to keep
 //     Cmax incrementally. The set lives in the slab, so tracking it adds
@@ -235,10 +231,10 @@ class LoadTable {
     touched_list_[num_touched_.fetch_add(1, std::memory_order_relaxed)] = i;
   }
 
-  /// Allocates the slab, first-touches it across DLB_NUMA_SHARDS shards
-  /// (zero fill), and binds the section pointers. Sections are cache-line
-  /// padded: job-indexed link pool first (the hottest, largest arrays),
-  /// then machine-indexed state.
+  /// Allocates the slab (core/numa.hpp), zero-fills it with one memset,
+  /// and binds the section pointers. Sections are cache-line padded:
+  /// job-indexed link pool first (the hottest, largest arrays), then
+  /// machine-indexed state.
   void init(std::size_t num_machines, std::size_t num_jobs) {
     namespace numa = core::numa;
     const std::size_t off_next = 0;
@@ -263,7 +259,7 @@ class LoadTable {
         off_touched_list + num_machines * sizeof(MachineId),
         numa::kCacheLine);
     slab_ = numa::alloc_slab(bytes_);
-    numa::first_touch(slab_.get(), bytes_, numa::shard_count());
+    if (slab_) std::memset(slab_.get(), 0, bytes_);
     std::byte* base = slab_.get();
     next_ = reinterpret_cast<JobId*>(base + off_next);
     prev_ = reinterpret_cast<JobId*>(base + off_prev);

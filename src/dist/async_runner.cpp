@@ -27,8 +27,8 @@ class AsyncSimulation {
         kernel_(&kernel),
         options_(options),
         rng_(options.seed),
-        latency_(options.message_latency),
-        network_(engine_, latency_, rng_),
+        network_(engine_, net::ConstantLatency(options.message_latency),
+                 rng_),
         transport_(engine_, network_, schedule.num_machines()),
         slots_(schedule.num_machines()),
         last_token_(schedule.num_machines(), 0) {
@@ -299,7 +299,6 @@ class AsyncSimulation {
   AsyncOptions options_;
   stats::Rng rng_;
   des::Engine engine_;
-  net::ConstantLatency latency_;
   net::Network network_;
   net::SimTransport transport_;
   std::vector<SessionSlot> slots_;

@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "core/assignment.hpp"
-#include "dist/text_codec.hpp"
+#include "core/text_codec.hpp"
 
 namespace dlb::dist {
 

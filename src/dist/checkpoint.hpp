@@ -34,11 +34,11 @@
 #include "dist/churn.hpp"
 #include "stats/rng.hpp"
 
-namespace dlb::dist {
-
-namespace codec {
+namespace dlb::codec {
 class TextReader;
-}  // namespace codec
+}  // namespace dlb::codec
+
+namespace dlb::dist {
 
 /// The frozen Schedule inside every checkpoint (closed engines, the open
 /// system and dlbd's replica): the machine of each job and the exact

@@ -8,7 +8,7 @@
 #include <string>
 #include <utility>
 
-#include "dist/text_codec.hpp"
+#include "core/text_codec.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb::dist {

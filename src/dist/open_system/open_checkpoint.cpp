@@ -5,7 +5,7 @@
 #include <ostream>
 #include <string>
 
-#include "dist/text_codec.hpp"
+#include "core/text_codec.hpp"
 
 namespace dlb::dist {
 

@@ -4,23 +4,22 @@
 
 namespace dlb::net {
 
-void Network::send(MachineId from, MachineId to,
+void Network::send(MachineId /*from*/, MachineId /*to*/,
                    std::function<void()> deliver) {
   ++messages_;
-  const des::SimTime latency = latency_->sample(from, to, *rng_);
   if (obs_messages_) {
     obs_messages_->add();
-    obs_last_latency_->set(latency);
+    obs_last_latency_->set(latency_);
   }
   if (!faults_.live()) {
-    engine_->schedule_after(latency, std::move(deliver));
+    engine_->schedule_after(latency_, std::move(deliver));
     return;
   }
   // A released message is scheduled right after its releaser at the same
   // delivery time, so FIFO tie-breaking delivers it behind.
   faults_.send(std::move(deliver),
-               [this, latency](double extra, FaultInjector::Delivery copy) {
-                 engine_->schedule_after(latency + extra, std::move(copy));
+               [this](double extra, FaultInjector::Delivery copy) {
+                 engine_->schedule_after(latency_ + extra, std::move(copy));
                });
 }
 

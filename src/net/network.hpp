@@ -1,7 +1,7 @@
 #pragma once
 
 // A simulated message-passing network on top of the discrete-event engine:
-// point-to-point messages with a pluggable latency model. The asynchronous
+// point-to-point messages with a constant latency. The asynchronous
 // DLB2C runner (dist/async_runner) exchanges its balancing protocol over
 // this; the paper's sequential exchange model corresponds to zero latency.
 //
@@ -21,49 +21,25 @@
 
 namespace dlb::net {
 
-/// Per-message latency distribution.
-class LatencyModel {
- public:
-  virtual ~LatencyModel() = default;
-  [[nodiscard]] virtual des::SimTime sample(MachineId from, MachineId to,
-                                            stats::Rng& rng) const = 0;
-};
-
 /// Fixed latency for every message.
-class ConstantLatency final : public LatencyModel {
+class ConstantLatency {
  public:
   explicit ConstantLatency(des::SimTime value) : value_(value) {}
-  [[nodiscard]] des::SimTime sample(MachineId, MachineId,
-                                    stats::Rng&) const override {
-    return value_;
-  }
+  [[nodiscard]] des::SimTime value() const noexcept { return value_; }
 
  private:
   des::SimTime value_;
 };
 
-/// Latency uniform in [lo, hi).
-class UniformLatency final : public LatencyModel {
- public:
-  UniformLatency(des::SimTime lo, des::SimTime hi) : lo_(lo), hi_(hi) {}
-  [[nodiscard]] des::SimTime sample(MachineId, MachineId,
-                                    stats::Rng& rng) const override {
-    return rng.uniform(lo_, hi_);
-  }
-
- private:
-  des::SimTime lo_;
-  des::SimTime hi_;
-};
-
-/// Binds an engine, a latency model and an RNG; delivers callbacks after
-/// the sampled latency and counts traffic.
+/// Binds an engine and a latency; delivers callbacks after the latency and
+/// counts traffic.
 class Network {
  public:
-  Network(des::Engine& engine, const LatencyModel& latency, stats::Rng& rng)
-      : engine_(&engine), latency_(&latency), rng_(&rng) {}
+  /// A constant latency draws nothing, so `rng` is never read.
+  Network(des::Engine& engine, ConstantLatency latency, stats::Rng& /*rng*/)
+      : engine_(&engine), latency_(latency.value()) {}
 
-  /// Schedules `deliver` to run after the sampled latency from -> to,
+  /// Schedules `deliver` to run after the latency from -> to,
   /// subject to the attached fault plan (dropped messages never run).
   void send(MachineId from, MachineId to, std::function<void()> deliver);
 
@@ -94,8 +70,7 @@ class Network {
 
  private:
   des::Engine* engine_;
-  const LatencyModel* latency_;
-  stats::Rng* rng_;
+  des::SimTime latency_;
   std::uint64_t messages_ = 0;
   FaultInjector faults_{0xFA17, "net.faults."};
   obs::Counter* obs_messages_ = nullptr;

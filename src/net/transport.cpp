@@ -19,7 +19,7 @@ void SimTransport::send(const Frame& frame) {
   if (!handler_) {
     throw std::logic_error("SimTransport: send before set_handler");
   }
-  // The network samples latency and applies the fault plan exactly as it
+  // The network applies the latency and the fault plan exactly as it
   // did when the runner passed it raw callbacks, so the event sequence —
   // and with it every legacy byte-identity test — is unchanged.
   network_->send(frame.from, frame.to,

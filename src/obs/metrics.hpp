@@ -52,9 +52,10 @@ class Gauge {
 
 /// Log2-bucketed distribution of non-negative samples (latencies, sizes).
 /// Bucket k counts samples in [2^(k-1+kMinExp), 2^(k+kMinExp)) seconds/units
-/// with bucket 0 catching everything below 2^kMinExp; the exact sum and
-/// count ride along so means stay precise even though quantiles are
-/// bucket-resolution estimates.
+/// with bucket 0 catching everything below 2^kMinExp (NaN included) and
+/// the last bucket everything at or above its lower bound (+inf included);
+/// the exact sum and count ride along so means stay precise even though
+/// quantiles are bucket-resolution estimates.
 class Histogram {
  public:
   static constexpr int kMinExp = -30;  ///< ~1e-9: below this lands in [0].

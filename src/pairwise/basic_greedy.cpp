@@ -25,21 +25,13 @@ std::vector<JobId> pooled_jobs(const Schedule& schedule, MachineId a,
   return pool;
 }
 
-Cost decision_load(const Schedule& schedule, MachineId i) noexcept {
-  // Both branches of Schedule::decision_load are incremental
-  // accumulators fed the identical += / -= sequence, so a surrogate with
-  // bitwise-equal costs reproduces the mean path's decisions bitwise --
-  // the zero-variance equivalence oracle depends on it.
-  return schedule.decision_load(i);
-}
-
 bool split_is_load_neutral(const Schedule& schedule, MachineId a, MachineId b,
                            Cost load_a, Cost load_b) noexcept {
   const Cost scale =
       1.0 + std::max(std::abs(load_a), std::abs(load_b));
   constexpr Cost kRelTol = 1e-12;
-  return std::abs(decision_load(schedule, a) - load_a) <= kRelTol * scale &&
-         std::abs(decision_load(schedule, b) - load_b) <= kRelTol * scale;
+  return std::abs(schedule.decision_load(a) - load_a) <= kRelTol * scale &&
+         std::abs(schedule.decision_load(b) - load_b) <= kRelTol * scale;
 }
 
 bool apply_split(Schedule& schedule, MachineId a, MachineId b,

@@ -114,12 +114,6 @@ bool apply_split(Schedule& schedule, MachineId a, MachineId b,
                  const std::vector<JobId>& to_a,
                  const std::vector<JobId>& to_b);
 
-/// Machine i's current load as the kernel's decision instance prices it:
-/// the incremental accumulator when no surrogate is attached (bitwise),
-/// otherwise the sum of decision costs over the resident jobs.
-[[nodiscard]] Cost decision_load(const Schedule& schedule,
-                                 MachineId i) noexcept;
-
 /// True when the split (load_a, load_b) equals the machines' current loads
 /// (within tolerance). Kernels use this to skip *lazy no-ops*: a
 /// redistribution that would leave both completion times unchanged is not

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -389,7 +390,7 @@ TEST(ScheduleSlab, SlabsArePageAlignedOnBothSidesOfTheMapThreshold) {
                   core::numa::kPageSize,
               0u)
         << bytes;
-    core::numa::first_touch(slab.get(), bytes, 1);
+    std::memset(slab.get(), 0, bytes);
     slab[bytes - 1] = std::byte{7};
     core::numa::Slab moved = std::move(slab);
     EXPECT_EQ(moved[bytes - 1], std::byte{7}) << bytes;

@@ -24,17 +24,6 @@ TEST(Network, DeliversAfterLatencyAndCounts) {
   EXPECT_EQ(network.messages_sent(), 1u);
 }
 
-TEST(Network, UniformLatencyStaysInRange) {
-  des::Engine engine;
-  stats::Rng rng(2);
-  const net::UniformLatency latency(1.0, 3.0);
-  for (int i = 0; i < 1000; ++i) {
-    const des::SimTime t = latency.sample(0, 1, rng);
-    EXPECT_GE(t, 1.0);
-    EXPECT_LT(t, 3.0);
-  }
-}
-
 TEST(AsyncRunner, ImprovesThePiledDistribution) {
   const Instance inst = gen::two_cluster_uniform(6, 3, 90, 1.0, 100.0, 3);
   Schedule s(inst, Assignment::all_on(90, 0));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace dlb {
 namespace {
@@ -100,6 +101,21 @@ TEST(Instance, SetJobTypesRejectsSparseIds) {
   Instance inst = Instance::unrelated({{1.0, 1.0}});
   EXPECT_THROW(inst.set_job_types({0, 2}), std::invalid_argument);
   EXPECT_THROW(inst.set_job_types({0}), std::invalid_argument);
+}
+
+TEST(Instance, SetJobTypesRefusesAnIdPastTheJobCountBeforeSizingByIt) {
+  // Sized by the largest id, the rule's per-type table would take 16 GB
+  // here; the id is checked against the job count first.
+  Instance inst = Instance::unrelated({{1.0, 1.0}});
+  try {
+    inst.set_job_types({0, 4000000000u});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job 1 has type 4000000000"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(inst.has_job_types());
 }
 
 TEST(Instance, InferJobTypesGroupsEqualColumns) {

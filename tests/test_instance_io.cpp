@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -231,6 +232,78 @@ TEST(InstanceIo, RejectsTruncatedFile) {
   text.resize(text.size() / 2);
   std::stringstream half(text);
   EXPECT_THROW(load_instance(half), std::runtime_error);
+}
+
+/// Loads `text` and expects `Error` with `needle` in its message.
+template <typename Error, typename Load>
+void expect_refused(Load load, const std::string& text,
+                    const std::string& needle) {
+  std::stringstream in(text);
+  try {
+    static_cast<void>(load(in));
+    FAIL() << text << "\nexpected a refusal naming " << needle;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << text << "\n-> " << e.what();
+  }
+}
+
+/// A two-job instance on one machine with the given types line.
+std::string typed_text(const std::string& types) {
+  return "dlb-instance v1\nmachines 1 groups 1 jobs 2\ngroup_of 0\n"
+         "scales 1\ntypes " +
+         types + "\ncosts\n1 1\n";
+}
+
+TEST(InstanceIo, RejectsHostileCountsWithoutSizingByThem) {
+  // 2^61 jobs or groups over a body of a few bytes: rows grow as they are
+  // read, so the load stops at the first missing entry.
+  const std::string huge = "2305843009213693952";
+  const std::string body = "\ngroup_of 0\nscales 1\ncosts\n1 2\n";
+  expect_refused<std::runtime_error>(
+      load_instance,
+      "dlb-instance v1\nmachines 1 groups 1 jobs " + huge + body,
+      "Instance::load: truncated costs");
+  expect_refused<std::runtime_error>(
+      load_instance,
+      "dlb-instance v1\nmachines 1 groups " + huge + " jobs 1" + body,
+      "Instance::load: truncated costs");
+  // Without jobs no cost entry runs out, so the group count is bounded.
+  expect_refused<std::runtime_error>(
+      load_instance,
+      "dlb-instance v1\nmachines 1 groups " + huge +
+          " jobs 0\ngroup_of 0\nscales 1\ncosts\n",
+      "groups count " + huge + " exceeds machines 1");
+  expect_refused<std::runtime_error>(
+      load_assignment, "dlb-assignment v1\njobs " + huge + "\n0 1\n",
+      "Assignment::load: truncated assignment");
+}
+
+TEST(InstanceIo, RejectsHostileTypeIds) {
+  // An id past the job count is the Instance rule's; a sign is the
+  // codec's, which never wraps -4294967295 to type 1.
+  expect_refused<std::invalid_argument>(load_instance,
+                                        typed_text("0 4000000000"),
+                                        "job 1 has type 4000000000");
+  expect_refused<std::runtime_error>(load_instance,
+                                     typed_text("0 -4294967295"),
+                                     "bad types entry \"-4294967295\"");
+  expect_refused<std::runtime_error>(load_instance,
+                                     typed_text("0 4294967296"),
+                                     "bad types entry \"4294967296\"");
+  std::stringstream good(typed_text("0 0"));
+  EXPECT_EQ(load_instance(good).num_job_types(), 1u);
+}
+
+TEST(AssignmentIo, RejectsWrappedAndMalformedEntries) {
+  // 4294967295 is kUnassigned itself; the two after it used to wrap to
+  // machines 0 and 1.
+  for (const std::string entry :
+       {"4294967295", "4294967296", "-4294967295", "x", "1.5"}) {
+    expect_refused<std::runtime_error>(
+        load_assignment, "dlb-assignment v1\njobs 2\n0 " + entry + "\n",
+        "Assignment::load: bad assignment entry \"" + entry + "\"");
+  }
 }
 
 TEST(AssignmentIo, RoundTripComplete) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -276,6 +277,23 @@ TEST(Metrics, HistogramSnapshotExportsP95Bound) {
   EXPECT_LE(p50->as_number(), p95->as_number());
   EXPECT_LE(p95->as_number(), p99->as_number());
   EXPECT_GE(p95->as_number(), 95.0);
+}
+
+TEST(Metrics, HistogramCountsInfinityInTheTopBucket) {
+  Histogram h;
+  h.observe(std::numeric_limits<double>::infinity());
+  const Histogram::Snapshot snap = h.snapshot();
+  const double top = 8589934592.0;  // 2^33, the last bucket's bound
+  ASSERT_EQ(snap.buckets.size(), 1u);
+  EXPECT_EQ(snap.buckets[0].first, top);
+  EXPECT_EQ(snap.buckets[0].second, 1u);
+  EXPECT_EQ(snap.quantile_bound(0.99), top);
+  EXPECT_EQ(Histogram::bucket_index(std::numeric_limits<double>::infinity()),
+            Histogram::kNumBuckets - 1);
+  for (const double low : {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0, -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(Histogram::bucket_index(low), 0) << low;
+  }
 }
 
 // ---- convergence flight recorder ----
