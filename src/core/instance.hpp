@@ -151,9 +151,10 @@ class Instance {
 
   // ----- job types (Section V) -----
 
-  /// Declares job types. `type_of[j]` must be dense in [0, num_types).
-  /// Enforces the defining property: jobs of equal type must have equal
-  /// cost rows (throws std::invalid_argument otherwise).
+  /// Declares job types. Each `type_of[j]` must be below the job count
+  /// and the ids dense in [0, num_types). Enforces the defining property:
+  /// jobs of equal type must have equal cost rows (throws
+  /// std::invalid_argument otherwise).
   void set_job_types(std::vector<JobTypeId> type_of);
 
   /// Infers job types by grouping jobs with identical cost columns.
