@@ -48,7 +48,7 @@ void run(const dlb::bench::RunContext& ctx, dlb::bench::MetricSet& metrics) {
     migrations += result.migrations;
     table.add_row(
         {TablePrinter::fixed(latency, 2),
-         TablePrinter::fixed(result.sessions_per_machine(24), 2),
+         TablePrinter::fixed(result.exchanges_per_machine(24), 2),
          std::to_string(result.sessions_rejected),
          std::to_string(result.messages), std::to_string(result.migrations),
          TablePrinter::fixed(result.final_makespan, 0),

@@ -84,8 +84,8 @@ dlb::stats::Histogram equilibrium_histogram(const Config& config,
         config.two_clusters ? dlb::dist::run_dlb2c(s, sample, rng)
                             : dlb::dist::run_ojtb(s, sample, rng);
     exchanges += warmup.max_exchanges + result.exchanges;
-    for (const Cost cmax : result.makespan_trace) {
-      const double normalized = (cmax - lb) / p_eff;
+    for (const dlb::dist::TracePoint& point : result.trace) {
+      const double normalized = (point.makespan - lb) / p_eff;
       histogram.add(normalized);
       samples.add(normalized);
     }

@@ -49,17 +49,20 @@ TraceStats trace_run(const char* name, const dlb::Instance& inst,
   dlb::stats::LinePlotOptions plot;
   plot.width = 76;
   plot.height = 14;
-  dlb::stats::line_plot(std::cout, result.makespan_trace, plot);
+  std::vector<double> cmax;
+  for (const dlb::dist::TracePoint& point : result.trace) {
+    cmax.push_back(point.makespan);
+  }
+  dlb::stats::line_plot(std::cout, cmax, plot);
   std::cout << std::string(8, ' ') << "0" << std::string(66, ' ') << "40"
             << "  (exchanges per machine)\n";
 
   TablePrinter table({"exchanges/machine", "Cmax", "Cmax/LB"});
   // One sample per 4 rounds of m exchanges keeps the table compact.
-  for (std::size_t round = 1; round * m <= result.makespan_trace.size();
-       round += 4) {
-    const dlb::Cost cmax = result.makespan_trace[round * m - 1];
-    table.add_row({std::to_string(round), TablePrinter::fixed(cmax, 0),
-                   TablePrinter::fixed(cmax / lb, 3)});
+  for (std::size_t round = 1; round * m <= cmax.size(); round += 4) {
+    const dlb::Cost sample = cmax[round * m - 1];
+    table.add_row({std::to_string(round), TablePrinter::fixed(sample, 0),
+                   TablePrinter::fixed(sample / lb, 3)});
   }
   table.print(std::cout);
   std::cout << "best Cmax seen: "

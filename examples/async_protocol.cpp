@@ -34,7 +34,6 @@ int main() {
     options.message_latency = latency;
     options.duration = 30.0;
     options.seed = 33;
-    options.record_trace = true;
     const auto result = dlb::dist::run_async(s, kernel, options);
     table.add_row({TablePrinter::fixed(latency, 2),
                    std::to_string(result.exchanges),

@@ -308,29 +308,18 @@ void check_run_result(const dist::RunResult& result, const Instance& instance,
     report.fail("run.counters", "more changed exchanges than exchanges");
   }
 
-  if (result.makespan_trace.size() != result.exchange_trace.size()) {
-    report.fail("run.trace_aligned",
-                "makespan_trace and exchange_trace lengths differ");
-    return;
-  }
   Cost best_seen = result.initial_makespan;
   Cost previous = result.initial_makespan;
   std::uint64_t previous_migrations = 0;
-  for (std::size_t x = 0; x < result.exchange_trace.size(); ++x) {
-    const dist::ExchangeTracePoint& point = result.exchange_trace[x];
-    if (result.makespan_trace[x] != point.makespan) {
-      report.fail("run.trace_aligned",
-                  "trace " + std::to_string(x) + " disagrees between "
-                  "makespan_trace and exchange_trace");
-      return;
-    }
+  for (std::size_t x = 0; x < result.trace.size(); ++x) {
+    const dist::TracePoint& point = result.trace[x];
     if (point.migrations < previous_migrations) {
       report.fail("run.migrations_monotone",
                   "cumulative migrations decreased at exchange " +
                       std::to_string(x));
       return;
     }
-    if (!point.changed && point.makespan != previous) {
+    if (point.count == 0 && point.makespan != previous) {
       report.fail("run.noop_makespan",
                   "exchange " + std::to_string(x) +
                       " reported changed=false but the makespan moved");
@@ -340,19 +329,19 @@ void check_run_result(const dist::RunResult& result, const Instance& instance,
     previous_migrations = point.migrations;
     best_seen = std::min(best_seen, point.makespan);
   }
-  if (!result.exchange_trace.empty()) {
+  if (!result.trace.empty()) {
     if (result.best_makespan != best_seen) {
       report.fail("run.best_monotone",
                   "best makespan " + num(result.best_makespan) +
                       " is not the running minimum " + num(best_seen));
     }
-    if (result.final_makespan != result.exchange_trace.back().makespan) {
+    if (result.final_makespan != result.trace.back().makespan) {
       report.fail("run.trace_final",
                   "final makespan differs from the last trace point");
     }
     if (result.reached_threshold) {
       if (result.exchanges_to_threshold == 0 ||
-          result.exchanges_to_threshold > result.exchange_trace.size()) {
+          result.exchanges_to_threshold > result.trace.size()) {
         report.fail("run.threshold", "exchanges_to_threshold out of range");
       }
     }
@@ -505,35 +494,6 @@ cost::Dist degenerate_dist(std::uint64_t salt) {
   return dist;
 }
 
-/// Bitwise comparison of two sequential exchange traces.
-bool same_exchange_trace(const dist::RunResult& lhs,
-                         const dist::RunResult& rhs) {
-  if (lhs.exchange_trace.size() != rhs.exchange_trace.size()) return false;
-  for (std::size_t x = 0; x < lhs.exchange_trace.size(); ++x) {
-    const dist::ExchangeTracePoint& a = lhs.exchange_trace[x];
-    const dist::ExchangeTracePoint& b = rhs.exchange_trace[x];
-    if (a.makespan != b.makespan || a.changed != b.changed ||
-        a.migrations != b.migrations) {
-      return false;
-    }
-  }
-  return lhs.makespan_trace == rhs.makespan_trace;
-}
-
-bool same_epoch_trace(const dist::ParallelRunResult& lhs,
-                      const dist::ParallelRunResult& rhs) {
-  if (lhs.epoch_trace.size() != rhs.epoch_trace.size()) return false;
-  for (std::size_t x = 0; x < lhs.epoch_trace.size(); ++x) {
-    const dist::EpochTracePoint& a = lhs.epoch_trace[x];
-    const dist::EpochTracePoint& b = rhs.epoch_trace[x];
-    if (a.makespan != b.makespan || a.sessions != b.sessions ||
-        a.migrations != b.migrations) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 void check_zero_variance_equivalence(const Instance& instance,
@@ -589,7 +549,7 @@ void check_zero_variance_equivalence(const Instance& instance,
                     risk_run.to_json().dump() + " vs " +
                     mean_run.to_json().dump());
   }
-  if (!same_exchange_trace(risk_run, mean_run)) {
+  if (risk_run.trace != mean_run.trace) {
     report.fail("zero_variance.trace",
                 "exchange trace bytes differ under an all-degenerate model");
   }
@@ -614,7 +574,7 @@ void check_zero_variance_equivalence(const Instance& instance,
 
   if (par_risk.fingerprint() != par_mean.fingerprint() ||
       par_risk_run.to_json().dump() != par_mean_run.to_json().dump() ||
-      !same_epoch_trace(par_risk_run, par_mean_run)) {
+      par_risk_run.trace != par_mean_run.trace) {
     report.fail("zero_variance.parallel",
                 "parallel-engine run diverged under an all-degenerate model");
   }

@@ -254,7 +254,7 @@ void check_open_system(const Instance& instance, const CaseContext& context,
       engine.run(pooled_schedule, pooled_options, open_seed);
   if (pooled_schedule.fingerprint() != par_schedule.fingerprint() ||
       pooled_result.to_json().dump() != par_result.to_json().dump() ||
-      pooled_result.makespan_trace != par_result.makespan_trace) {
+      pooled_result.trace != par_result.trace) {
     report.fail("open.repair_thread_invariance",
                 "parallel-repair run changed bytes between the inline and "
                 "the 3-thread pool execution");

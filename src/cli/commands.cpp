@@ -301,16 +301,15 @@ int cmd_balance(const Args& args, std::ostream& out) {
   }
 
   // The one result tail. Only the algorithm suffix, the epochs line and
-  // the trace kind are engine-specific. The trace's first two columns are
-  // the original format; the detail column and `migrations` (cumulative
-  // job moves) are appended so old scripts keep parsing. The parallel
-  // engine only has epoch-granular state, so its trace is per epoch with
-  // the session count in place of `changed`.
+  // the trace's step and count column names are engine-specific. The
+  // trace's first two columns are the original format; the count column
+  // and `migrations` (cumulative job moves) are appended so old scripts
+  // keep parsing. The parallel engine only has epoch-granular state, so
+  // its trace is per epoch with the session count in place of `changed`.
   const auto report = [&](const dist::EngineResult& result,
                           const std::string& suffix,
                           const std::string& epochs_line, const char* kind,
-                          const char* detail_column, const auto& trace,
-                          const auto& detail) {
+                          const char* count_column) {
     out << "algorithm       : " << alg << suffix << "\n";
     if (churn_plan.has_value()) {
       out << "churn plan      : " << churn_path << " ("
@@ -325,13 +324,14 @@ int cmd_balance(const Args& args, std::ostream& out) {
         << epochs_line << "LB              : " << lb << "\n"
         << "final factor    : " << result.final_makespan / lb << "\n";
     if (!trace_path.empty()) {
+      const std::vector<dist::TracePoint>& trace = result.trace;
       write_trace_csv(
-          trace_path, {kind, "makespan", detail_column, "migrations"},
+          trace_path, {kind, "makespan", count_column, "migrations"},
           trace.size(),
           [&](std::size_t x) -> std::vector<std::string> {
             return {stats::CsvWriter::num(x + 1),
                     stats::CsvWriter::num(trace[x].makespan),
-                    detail(trace[x]),
+                    std::to_string(trace[x].count),
                     stats::CsvWriter::num(
                         static_cast<std::size_t>(trace[x].migrations))};
           },
@@ -367,18 +367,12 @@ int cmd_balance(const Args& args, std::ostream& out) {
                       " (" + std::to_string(result.conflicts) +
                       " conflicts, " + std::to_string(result.peer_retries) +
                       " peer retries)\n",
-                  "epoch", "sessions", result.epoch_trace,
-                  [](const dist::EpochTracePoint& point) {
-                    return std::to_string(point.sessions);
-                  });
+                  "epoch", "sessions");
   }
   stats::Rng rng(seed + 1);
   const dist::RunResult result =
       dist::ExchangeEngine(kernel, selector).run(schedule, options, rng);
-  return report(result, "", "", "exchange", "changed", result.exchange_trace,
-                [](const dist::ExchangeTracePoint& point) {
-                  return std::string(point.changed ? "1" : "0");
-                });
+  return report(result, "", "", "exchange", "changed");
 }
 
 // ----- serve -----
@@ -544,12 +538,12 @@ int cmd_serve(const Args& args, std::ostream& out) {
   }
   result.print(out);
   if (!trace_path.empty()) {
-    const std::vector<Cost>& trace = result.makespan_trace;
+    const std::vector<dist::TracePoint>& trace = result.trace;
     write_trace_csv(
         trace_path, {"burst", "makespan"}, trace.size(),
         [&](std::size_t x) -> std::vector<std::string> {
           return {stats::CsvWriter::num(x + 1),
-                  stats::CsvWriter::num(trace[x])};
+                  stats::CsvWriter::num(trace[x].makespan)};
         },
         out);
   }
@@ -599,7 +593,7 @@ int cmd_simulate(const Args& args, std::ostream& out) {
   result.print(out);
   out << "sessions        : " << result.exchanges << " completed, "
       << result.sessions_rejected << " rejected ("
-      << result.sessions_per_machine(m) << " per machine)\n"
+      << result.exchanges_per_machine(m) << " per machine)\n"
       << "messages        : " << result.messages << "\n"
       << "LB              : " << lb << "\n"
       << "final factor    : " << result.final_makespan / lb << "\n";

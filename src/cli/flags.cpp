@@ -26,7 +26,13 @@ const T& by_name(const NameRegistry<T>& registry, const char* flag,
 }  // namespace
 
 Instance& InputFlag::load() {
-  store_ = core::load_instance(path_);
+  // A value the file holds is input, not a flag: a rule of Instance that
+  // refuses it (std::invalid_argument) is a runtime error, exit 1.
+  try {
+    store_ = core::load_instance(path_);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(e.what());
+  }
   return store_->mutable_instance();
 }
 

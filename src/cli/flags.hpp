@@ -4,9 +4,11 @@
 // once: a new flag, error shape or file rule lands here, not per command.
 //
 // Error convention: a bad flag value throws std::invalid_argument (a usage
-// error, exit 2); an output file that cannot be written throws
-// std::runtime_error("cannot write PATH"), which each tool reports as
-// "<tool>: cannot write PATH" with exit 1.
+// error, exit 2); everything else is a runtime error (exit 1). An input
+// file whose contents a rule refuses throws std::runtime_error (InputFlag
+// rethrows an Instance rule's std::invalid_argument as one), and an output
+// file that cannot be written throws std::runtime_error("cannot write
+// PATH"), which each tool reports as "<tool>: cannot write PATH".
 
 #include <cstdint>
 #include <functional>

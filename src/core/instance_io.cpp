@@ -135,8 +135,8 @@ Assignment load_assignment(std::istream& in) {
   codec::TextReader reader(in, "Assignment");
   reader.header("dlb-assignment");
   const auto n = reader.value<std::size_t>("jobs");
-  return Assignment(reader.id_row<MachineId>(n, kUnassigned, kUnassigned,
-                                             "assignment"));
+  return Assignment(reader.id_row<MachineId>(n, kUnassigned, "assignment",
+                                             kUnassigned));
 }
 
 void save_instance_file(const Instance& instance, const std::string& path) {

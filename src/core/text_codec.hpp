@@ -8,8 +8,10 @@
 // hostile bytes. Each count is checked against its bound before anything
 // is allocated, and every row grows as it is read (reserving at most
 // kReserveCap entries up front), so memory follows the bytes that are
-// actually present, not the count a header claims. `id` and `id_row` parse
-// their own tokens, so a sign or an overflow is refused, never wrapped.
+// actually present, not the count a header claims. Every unsigned integer
+// (a `value`, a `next` token, an `id` or an `id_row` entry) must be a plain
+// decimal that fits its type: a sign, trailing bytes or an overflow raises
+// an error naming the field, never wraps ("-1" is not 2^64 - 1).
 //
 // Doubles travel as their IEEE-754 bit patterns in decimal: formatted
 // decimal round-trips are not guaranteed to be exact, bit patterns are.
@@ -17,13 +19,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace dlb::codec {
@@ -105,7 +110,14 @@ class TextReader {
   T value(const char* name) {
     key(name);
     T v{};
-    if (!(in_ >> v)) fail(std::string("bad value for ") + name);
+    bool ok = false;
+    if constexpr (kDecimal<T>) {
+      std::string token;
+      ok = in_ >> token && decimal(token, v);
+    } else {
+      ok = static_cast<bool>(in_ >> v);
+    }
+    if (!ok) fail(std::string("bad value for ") + name);
     return v;
   }
 
@@ -117,9 +129,13 @@ class TextReader {
   /// The next bare token.
   template <typename T>
   T next(const char* what) {
-    T v{};
-    if (!(in_ >> v)) fail(std::string("truncated ") + what);
-    return v;
+    if constexpr (kDecimal<T>) {
+      return parse_id<T>(next<std::string>(what), std::nullopt, what);
+    } else {
+      T v{};
+      if (!(in_ >> v)) fail(std::string("truncated ") + what);
+      return v;
+    }
   }
 
   /// "<name> <count>" where the count must equal `bound` (exact) or not
@@ -142,19 +158,6 @@ class TextReader {
     return out;
   }
 
-  /// `n` integers, each below `limit`.
-  template <typename T>
-  std::vector<T> int_row(std::size_t n, std::size_t limit, const char* what) {
-    return row<T>(n, [&] {
-      const T v = next<T>(what);
-      if (static_cast<std::size_t>(v) >= limit) {
-        fail(std::string(what) + " entry " + std::to_string(v) +
-             " out of range (limit " + std::to_string(limit) + ")");
-      }
-      return v;
-    });
-  }
-
   /// `n` bit-pattern doubles.
   std::vector<double> bits_row(std::size_t n, const char* what) {
     return row<double>(n, [&] { return double_of(next<std::uint64_t>(what)); });
@@ -166,34 +169,42 @@ class TextReader {
     return parse_id<T>(next<std::string>(what), limit, what);
   }
 
-  /// `n` ids, each '-' (read as `sentinel`) or a number below `limit`.
+  /// `n` ids, each a number below `limit` or, when a sentinel is given,
+  /// '-' (read as the sentinel).
   template <typename T>
-  std::vector<T> id_row(std::size_t n, T sentinel, std::size_t limit,
-                        const char* what) {
+  std::vector<T> id_row(std::size_t n, std::size_t limit, const char* what,
+                        std::optional<T> sentinel = std::nullopt) {
     return row<T>(n, [&] {
       const auto token = next<std::string>(what);
-      if (token == "-") return sentinel;
+      if (sentinel.has_value() && token == "-") return *sentinel;
       return parse_id<T>(token, limit, what);
     });
   }
 
  private:
-  /// A decimal number below `limit`: a minus sign, trailing bytes or an
-  /// overflow fails.
+  /// Unsigned integers other than bool go through `decimal`.
   template <typename T>
-  T parse_id(const std::string& token, std::size_t limit,
+  static constexpr bool kDecimal =
+      std::is_unsigned_v<T> && !std::is_same_v<T, bool>;
+
+  /// Digits only, and the value fits T: a sign, a space, trailing bytes or
+  /// an overflow fails.
+  template <typename T>
+  [[nodiscard]] static bool decimal(const std::string& token, T& v) {
+    const char* end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, v);
+    return error == std::errc() && stop == end;
+  }
+
+  /// A decimal number of type T, below `limit` when one is given.
+  template <typename T>
+  T parse_id(const std::string& token, std::optional<std::size_t> limit,
              const char* what) const {
-    std::size_t used = 0;
-    unsigned long long v = 0;
-    try {
-      v = std::stoull(token, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != token.size() || token[0] == '-' || v >= limit) {
+    T v{};
+    if (!decimal(token, v) || (limit.has_value() && v >= *limit)) {
       fail(std::string("bad ") + what + " entry \"" + token + "\"");
     }
-    return static_cast<T>(v);
+    return v;
   }
 
   std::istream& in_;

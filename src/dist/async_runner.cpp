@@ -280,7 +280,7 @@ class AsyncSimulation {
     const Cost cmax = schedule_->makespan();
     result_.best_makespan = std::min(result_.best_makespan, cmax);
     if (options_.record_trace) {
-      result_.trace.push_back({transport_.now(), cmax});
+      result_.trace.push_back({.makespan = cmax, .time = transport_.now()});
     }
     if (c_completed_) {
       c_completed_->add();

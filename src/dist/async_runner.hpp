@@ -62,7 +62,7 @@ struct AsyncOptions {
   /// run; null = reliable network).
   const net::FaultPlan* fault_plan = nullptr;
   std::uint64_t seed = 1;
-  /// Record (time, makespan) after every completed session.
+  /// Fill RunReport::trace: (time, makespan) after every completed session.
   bool record_trace = false;
   /// Optional observability sinks (must outlive the run). Counters:
   /// async.sessions.completed / .rejected / .timeout, async.backoffs,
@@ -70,11 +70,6 @@ struct AsyncOptions {
   /// spans "session" plus REQUEST/ACCEPT/REJECT/TRANSFER instants on the
   /// virtual DES clock (1 sim time unit = 1 second).
   const obs::Context* obs = nullptr;
-};
-
-struct AsyncTracePoint {
-  des::SimTime time = 0.0;
-  Cost makespan = 0.0;
 };
 
 /// Shared fields live on the RunReport base: `exchanges` counts completed
@@ -91,13 +86,6 @@ struct AsyncRunResult : RunReport {
   des::SimTime end_time = 0.0;
   /// Faults the attached plan injected (all zero without a plan).
   net::FaultStats faults;
-  std::vector<AsyncTracePoint> trace;
-
-  /// Completed sessions per machine — the shared normalisation under its
-  /// protocol-level name. 0 for an empty machine set.
-  [[nodiscard]] double sessions_per_machine(std::size_t machines) const {
-    return exchanges_per_machine(machines);
-  }
 };
 
 /// Runs the asynchronous protocol on `schedule` in place until

@@ -116,8 +116,8 @@ void FrozenSchedule::write_rows(std::ostream& out) const {
 
 void FrozenSchedule::read_rows(codec::TextReader& reader) {
   assignment = reader.id_row<MachineId>(
-      reader.count("assignment", num_jobs, true), kUnassigned, num_machines,
-      "assignment");
+      reader.count("assignment", num_jobs, true), num_machines, "assignment",
+      kUnassigned);
   loads = reader.bits_row(reader.count("loads", num_machines, true), "loads");
   for (const Cost load : loads) {
     if (!std::isfinite(load)) reader.fail("non-finite entry in loads");
@@ -203,8 +203,8 @@ Checkpoint Checkpoint::load(std::istream& in) {
   ck.initial_makespan = reader.bits("initial_makespan");
   ck.best_makespan = reader.bits("best_makespan");
 
-  ck.order = reader.int_row<MachineId>(reader.count("order", m, false), m,
-                                       "order");
+  ck.order = reader.id_row<MachineId>(reader.count("order", m, false), m,
+                                      "order");
   ck.live = reader.row<std::uint8_t>(reader.count("live", m, true), [&] {
     const int bit = reader.next<int>("live mask");
     if (bit != 0 && bit != 1) reader.fail("bad live mask entry");
@@ -229,7 +229,7 @@ Checkpoint Checkpoint::load(std::istream& in) {
   }
   ck.read_rows(reader);
   ck.churn_cursor = reader.value<std::size_t>("churn_cursor");
-  ck.churn_queue = reader.int_row<JobId>(
+  ck.churn_queue = reader.id_row<JobId>(
       reader.count("churn_queue", n, false), n, "churn queue");
   reader.key("churn_counters");
   for (std::uint64_t* counter :

@@ -195,7 +195,7 @@ ChurnPlan ChurnPlan::load(std::istream& in) {
         } catch (const std::invalid_argument& e) {
           reader.fail(e.what());
         }
-        event.machine = reader.next<MachineId>("event list");
+        event.machine = reader.next<MachineId>("event machine");
         return event;
       });
   return plan;

@@ -97,8 +97,9 @@ class SequentialPlanner {
     kernel_moves_ += moved;
 
     if (run_.options.record_trace) {
-      result_.makespan_trace.push_back(cmax);
-      result_.exchange_trace.push_back({cmax, changed, run_.migrations()});
+      result_.trace.push_back(
+          {.makespan = cmax, .count = changed ? 1u : 0u,
+           .migrations = run_.migrations()});
     }
     if (c_exchanges_ != nullptr) {
       c_exchanges_->add();

@@ -34,7 +34,8 @@ namespace dlb::dist {
 struct EngineOptions {
   /// Hard cap on pairwise exchanges (sessions in the parallel engine).
   std::size_t max_exchanges = 100'000;
-  /// Record one trace entry per step (see each engine's result type).
+  /// Fill RunReport::trace: one point per exchange (sequential) or per
+  /// epoch (parallel).
   bool record_trace = false;
   /// When set: stop after the first step that leaves Cmax <= threshold
   /// (Figure 5's metric).
@@ -84,23 +85,9 @@ struct EngineResult : RunReport {
   bool halted = false;
 };
 
-/// Per-exchange record captured when EngineOptions::record_trace is set.
-struct ExchangeTracePoint {
-  Cost makespan = 0.0;            ///< Cmax after the exchange.
-  bool changed = false;           ///< Did the kernel move any job?
-  std::uint64_t migrations = 0;   ///< Cumulative job moves within the run.
-};
-
-/// Shared fields live on the RunReport and EngineResult bases; the
-/// per-exchange traces below are this engine's own.
+/// Shared fields live on the RunReport and EngineResult bases; the trace
+/// has one point per exchange.
 struct RunResult : EngineResult {
-  /// Cmax after each exchange (optional). Kept as a plain vector for the
-  /// existing fig4/fig5 callers; it is a view of the same per-exchange
-  /// recording that feeds `exchange_trace` and the obs tracer.
-  std::vector<Cost> makespan_trace;
-  /// Full per-exchange trace (same length as makespan_trace).
-  std::vector<ExchangeTracePoint> exchange_trace;
-
   /// Exchanges per machine until the threshold (Figure 5's X axis);
   /// 0 for an empty machine set.
   [[nodiscard]] double normalized_threshold_time(

@@ -63,7 +63,7 @@ OpenCheckpoint OpenCheckpoint::load(std::istream& in) {
   const std::size_t n = ck.num_jobs;
   ck.read_rows(reader);
   ck.in_service = reader.id_row<JobId>(reader.count("in_service", m, true),
-                                       kNoJob, n, "in_service");
+                                       n, "in_service", kNoJob);
   ck.busy_until =
       reader.bits_row(reader.count("busy_until", m, true), "busy_until");
   for (const double horizon : ck.busy_until) {

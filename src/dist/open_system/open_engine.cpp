@@ -269,7 +269,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   OpenRunReport report;
   report.initial_makespan = 0.0;
   if (options.record_trace) {
-    report.makespan_trace.reserve(64);
+    report.trace.reserve(64);
   }
 
   obs::Metrics* metrics = obs::metrics_of(options.obs);
@@ -370,7 +370,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
       if (state.in_service[i] == kNoJob) start_next(i);
     }
     if (options.record_trace) {
-      report.makespan_trace.push_back(schedule.makespan());
+      report.trace.push_back({.makespan = schedule.makespan()});
     }
     if (tracer != nullptr) {
       tracer->instant(

@@ -70,7 +70,8 @@ struct OpenSystemOptions {
   /// pure uniform per job); false bills the predicted cost exactly.
   bool realize_service = false;
 
-  /// Record one makespan-trace entry per repair burst.
+  /// Fill RunReport::trace: Cmax of the waiting schedule after each repair
+  /// burst.
   bool record_trace = false;
   /// Optional observability sinks (must outlive the run). Counters
   /// open.arrivals / .completions / .repair_bursts / .repair_exchanges /
@@ -125,9 +126,6 @@ struct OpenRunReport : RunReport {
 
   /// Stopped at halt_after_events, not by draining.
   bool halted = false;
-
-  /// Cmax of the waiting schedule after each repair burst.
-  std::vector<Cost> makespan_trace;
 
   /// Base schema with the open_* keys appended (stable order; extend only
   /// by appending).

@@ -217,7 +217,9 @@ class ParallelPlanner {
     const Cost cmax = run_.schedule.makespan();
     if (g_cmax_) g_cmax_->set(cmax);
     if (run_.options.record_trace) {
-      result_.epoch_trace.push_back({cmax, sessions, run_.migrations()});
+      result_.trace.push_back({.makespan = cmax,
+                               .count = sessions,
+                               .migrations = run_.migrations()});
     }
     return cmax;
   }

@@ -42,25 +42,16 @@ struct ParallelEngineOptions : EngineOptions {
   parallel::ThreadPool* pool = nullptr;
 };
 
-/// Per-epoch record captured when ParallelEngineOptions::record_trace is
-/// set. Cmax is only evaluated at epoch boundaries — mid-epoch values do
-/// not exist in the parallel model.
-struct EpochTracePoint {
-  Cost makespan = 0.0;           ///< Cmax after the epoch committed.
-  std::uint64_t sessions = 0;    ///< Sessions executed in this epoch.
-  std::uint64_t migrations = 0;  ///< Cumulative job moves within the run.
-};
-
 /// Shared fields live on the RunReport and EngineResult bases.
-/// `exchanges` counts executed sessions; best/threshold bookkeeping works
-/// at epoch granularity.
+/// `exchanges` counts executed sessions; best/threshold bookkeeping and the
+/// trace work at epoch granularity (Cmax is only evaluated at epoch
+/// boundaries, so mid-epoch values do not exist in the parallel model).
 struct ParallelRunResult : EngineResult {
   /// Planned initiators abandoned because every peer draw was claimed.
   std::uint64_t conflicts = 0;
   /// Peer redraws caused by claimed peers (the redraws of abandoned
   /// initiators plus those that eventually succeeded).
   std::uint64_t peer_retries = 0;
-  std::vector<EpochTracePoint> epoch_trace;
 };
 
 class ParallelExchangeEngine {

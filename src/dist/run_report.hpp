@@ -2,14 +2,17 @@
 
 // RunReport: the balancer-run result fields every engine shares. The
 // sequential exchange engine, the parallel epoch engine, the asynchronous
-// protocol runner and the work-stealing simulator all report the same core
-// story — where the makespan started, where it ended, how much pairwise
-// work was done and how many jobs moved — so the CLI and the bench
-// telemetry consume this one struct instead of four divergent shapes.
-// Engine-specific extras stay on the derived result types as members.
+// protocol runner, the open system and the work-stealing simulator all
+// report the same core story — where the makespan started, where it ended,
+// how much pairwise work was done and how many jobs moved — so the CLI and
+// the bench telemetry consume this one struct instead of divergent shapes.
+// The optional Cmax series (Figures 4 and 5) is one `trace` of TracePoints
+// that every engine fills when its options set record_trace. Engine-specific
+// extras stay on the derived result types as members.
 
 #include <cstdint>
 #include <ostream>
+#include <vector>
 
 #include "core/types.hpp"
 #include "stats/json.hpp"
@@ -19,6 +22,22 @@ class Schedule;
 }  // namespace dlb
 
 namespace dlb::dist {
+
+/// One step of a run's Cmax series. A step is an exchange (sequential
+/// engine), an epoch (parallel engine: Cmax only exists at epoch
+/// boundaries), a completed session (async runner) or a repair burst (open
+/// system). Fields an engine has no value for stay zero.
+struct TracePoint {
+  Cost makespan = 0.0;  ///< Cmax after the step.
+  /// The step's own count: 1 if the exchange moved a job, else 0
+  /// (sequential); sessions executed in the epoch (parallel).
+  std::uint64_t count = 0;
+  /// Cumulative job moves within the run (sequential and parallel).
+  std::uint64_t migrations = 0;
+  double time = 0.0;  ///< Virtual time of the step (async runner).
+
+  bool operator==(const TracePoint&) const = default;
+};
 
 struct RunReport {
   Cost initial_makespan = 0.0;
@@ -62,6 +81,10 @@ struct RunReport {
   /// quantile_makespan(0.95) - final makespan: the price of uncertainty
   /// on the final schedule. Non-negative; 0 under zero variance.
   double risk_q95_excess = 0.0;
+
+  /// One point per step when the engine's options set record_trace; not
+  /// part of to_json() or print().
+  std::vector<TracePoint> trace;
 
   /// Exchanges per machine (Figure 5's X axis normalisation, shared by
   /// every engine); 0 for an empty machine set.

@@ -121,7 +121,7 @@ TEST(AsyncRunner, RejectsBadOptions) {
 TEST(AsyncRunner, SessionsPerMachineNormalization) {
   AsyncRunResult result;
   result.exchanges = 60;
-  EXPECT_DOUBLE_EQ(result.sessions_per_machine(12), 5.0);
+  EXPECT_DOUBLE_EQ(result.exchanges_per_machine(12), 5.0);
 }
 
 }  // namespace

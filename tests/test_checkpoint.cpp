@@ -409,6 +409,38 @@ TEST(Checkpoint, LoadRejectsHostileCountsAndIds) {
   }
 }
 
+/// The what() of the std::runtime_error Checkpoint::load throws on
+/// `text` ("" if it loads).
+std::string load_error(const std::string& text) {
+  std::stringstream bytes(text);
+  try {
+    (void)Checkpoint::load(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A negative number must not wrap into a small unsigned value:
+// "-4294967293" read into a 32-bit id would be machine 3 of 4, and
+// "epochs -1" would be 2^64 - 1.
+TEST(Checkpoint, LoadRefusesNegativeNumbersNamingTheField) {
+  const std::vector<std::string> lines = four_machine_checkpoint_lines();
+  EXPECT_EQ(load_error(with_row(lines, "order", "order 4",
+                                "-4294967293 1 0 2")),
+            "Checkpoint::load: bad order entry \"-4294967293\"");
+  EXPECT_EQ(load_error(with_row(lines, "churn_queue", "churn_queue 1",
+                                "-4294967285")),
+            "Checkpoint::load: bad churn queue entry \"-4294967285\"");
+  std::string text;
+  for (const std::string& line : lines) {
+    text += line.rfind("epochs ", 0) == 0
+                ? "epochs -1" + line.substr(line.find(' ', 7)) + "\n"
+                : line + "\n";
+  }
+  EXPECT_EQ(load_error(text), "Checkpoint::load: bad value for epochs");
+}
+
 /// `ck` saved and loaded back, as a file would carry it.
 Checkpoint through_file(const Checkpoint& ck) {
   std::stringstream bytes;

@@ -109,6 +109,24 @@ TEST(ChurnPlan, LoadRejectsHostileEventListsWithoutAllocating) {
   EXPECT_THROW((void)ChurnPlan::load(unknown), std::runtime_error);
 }
 
+TEST(ChurnPlan, LoadRefusesANegativeEventMachine) {
+  // "-4294967295" read into a 32-bit machine id would be machine 1.
+  ChurnPlan plan;
+  plan.events = {{1, ChurnKind::kCrash, 1}};
+  std::stringstream saved;
+  plan.save(saved);
+  std::string text = saved.str();
+  text.replace(text.find("crash 1"), 7, "crash -4294967295");
+  std::stringstream bytes(text);
+  try {
+    (void)ChurnPlan::load(bytes);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "ChurnPlan::load: bad event machine entry \"-4294967295\"");
+  }
+}
+
 TEST(ChurnPlan, RandomPlansAlwaysValidate) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     const ChurnPlan plan = ChurnPlan::random(5, 8, 0.4, 0.3, 0.4, seed);

@@ -727,6 +727,14 @@ TEST_F(CliGolden, SimulateWithTraceAndObs) {
   expect_digest(0xA28FE86B9D6B212BULL);
 }
 
+TEST_F(CliGolden, SimulateWithTrace) {
+  gen_instance();
+  step({"simulate", "--in", "a.inst", "--alg", "dlbkc", "--duration", "15",
+        "--seed", "11", "--trace", "s.csv"},
+       {"s.csv"});
+  expect_digest(0x4497F218C37CA8E5ULL);
+}
+
 TEST_F(CliGolden, TransportChaos) {
   gen_instance();
   step({"transport", "--in", "a.inst", "--rounds", "3", "--fault", "chaos",

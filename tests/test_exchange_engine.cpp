@@ -49,11 +49,11 @@ TEST(ExchangeEngine, TraceRecordsEveryExchange) {
   options.record_trace = true;
   const RunResult result =
       ExchangeEngine(kernel, selector).run(s, options, rng);
-  ASSERT_EQ(result.makespan_trace.size(), 25u);
-  EXPECT_DOUBLE_EQ(result.makespan_trace.back(), result.final_makespan);
+  ASSERT_EQ(result.trace.size(), 25u);
+  EXPECT_DOUBLE_EQ(result.trace.back().makespan, result.final_makespan);
   // best_makespan is the running minimum over the initial value + trace.
   Cost best = result.initial_makespan;
-  for (const Cost c : result.makespan_trace) best = std::min(best, c);
+  for (const TracePoint& p : result.trace) best = std::min(best, p.makespan);
   EXPECT_DOUBLE_EQ(result.best_makespan, best);
 }
 
@@ -333,10 +333,10 @@ std::uint64_t golden_sequential(GoldenConfig config, std::uint64_t seed) {
     stats::Rng rng(seed * 7 + 1);
     const RunResult result = engine.run(schedule, options, rng);
     digest_common(digest, result, schedule, sinks, &saved);
-    digest.add(result.makespan_trace.size());
-    for (const ExchangeTracePoint& point : result.exchange_trace) {
+    digest.add(result.trace.size());
+    for (const TracePoint& point : result.trace) {
       digest.add(point.makespan);
-      digest.add(static_cast<std::uint64_t>(point.changed));
+      digest.add(point.count);
       digest.add(point.migrations);
     }
     return saved;
@@ -385,10 +385,10 @@ std::uint64_t golden_parallel(GoldenConfig config, std::uint64_t seed) {
     const ParallelRunResult result =
         engine.run(schedule, options, seed * 7 + 1);
     digest_common(digest, result, schedule, sinks, &saved);
-    digest.add(result.epoch_trace.size());
-    for (const EpochTracePoint& point : result.epoch_trace) {
+    digest.add(result.trace.size());
+    for (const TracePoint& point : result.trace) {
       digest.add(point.makespan);
-      digest.add(point.sessions);
+      digest.add(point.count);
       digest.add(point.migrations);
     }
     return saved;

@@ -148,8 +148,8 @@ TEST(Integration, HeterogeneousEquilibriumResemblesHomogeneous) {
       const dist::RunResult run = two_clusters
                                       ? dist::run_dlb2c(s, sample, rng)
                                       : dist::run_ojtb(s, sample, rng);
-      for (const Cost cmax : run.makespan_trace) {
-        samples.add((cmax - lb) / p_eff);
+      for (const dist::TracePoint& point : run.trace) {
+        samples.add((point.makespan - lb) / p_eff);
       }
     }
     return samples;

@@ -269,7 +269,7 @@ struct Outcome {
   std::uint64_t fingerprint = 0;
   std::string metrics_json;
   std::vector<obs::TraceEvent> trace;
-  std::vector<Cost> makespan_trace;
+  std::vector<TracePoint> run_trace;
 };
 
 bool same_event(const obs::TraceEvent& a, const obs::TraceEvent& b) {
@@ -281,7 +281,7 @@ void expect_identical(const Outcome& a, const Outcome& b) {
   EXPECT_EQ(a.report_json, b.report_json);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
-  EXPECT_EQ(a.makespan_trace, b.makespan_trace);
+  EXPECT_EQ(a.run_trace, b.run_trace);
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (std::size_t k = 0; k < a.trace.size(); ++k) {
     EXPECT_TRUE(same_event(a.trace[k], b.trace[k]))
@@ -311,7 +311,7 @@ Outcome run_open(const Instance& instance, OpenSystemOptions options,
   const OpenRunReport report = engine.run(schedule, options, seed);
   return {report.to_json().dump(), schedule.fingerprint(),
           metrics.snapshot().dump(), tracer.events(),
-          report.makespan_trace};
+          report.trace};
 }
 
 // ----- preconditions -----
@@ -563,7 +563,9 @@ std::uint64_t digest_of(const Outcome& outcome) {
   digest.add(outcome.report_json);
   digest.add(outcome.fingerprint);
   digest.add(outcome.metrics_json);
-  for (const Cost cmax : outcome.makespan_trace) digest.add(cmax);
+  for (const TracePoint& point : outcome.run_trace) {
+    digest.add(point.makespan);
+  }
   for (const obs::TraceEvent& event : outcome.trace) {
     digest.add(event.ts_us);
     digest.add(event.name);

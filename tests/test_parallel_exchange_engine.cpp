@@ -84,11 +84,11 @@ TEST(ParallelExchangeEngine, ThreadCountInvariance) {
   EXPECT_EQ(a.epochs, b.epochs);
   EXPECT_EQ(a.conflicts, b.conflicts);
   EXPECT_EQ(a.peer_retries, b.peer_retries);
-  ASSERT_EQ(a.epoch_trace.size(), b.epoch_trace.size());
-  for (std::size_t e = 0; e < a.epoch_trace.size(); ++e) {
-    EXPECT_EQ(a.epoch_trace[e].makespan, b.epoch_trace[e].makespan);
-    EXPECT_EQ(a.epoch_trace[e].sessions, b.epoch_trace[e].sessions);
-    EXPECT_EQ(a.epoch_trace[e].migrations, b.epoch_trace[e].migrations);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t e = 0; e < a.trace.size(); ++e) {
+    EXPECT_EQ(a.trace[e].makespan, b.trace[e].makespan);
+    EXPECT_EQ(a.trace[e].count, b.trace[e].count);
+    EXPECT_EQ(a.trace[e].migrations, b.trace[e].migrations);
   }
   for (const char* name : {"parexchange.sessions", "parexchange.conflicts",
                            "parexchange.retries", "parexchange.epochs"}) {
@@ -133,9 +133,9 @@ std::uint64_t skewed_pool_digest(parallel::ThreadPool* pool) {
   digest.add(schedule.fingerprint());
   digest.add(metrics.snapshot().dump());
   digest.add(tracer.to_chrome_json().dump());
-  for (const EpochTracePoint& point : result.epoch_trace) {
+  for (const TracePoint& point : result.trace) {
     digest.add(point.makespan);
-    digest.add(point.sessions);
+    digest.add(point.count);
     digest.add(point.migrations);
   }
   return digest.value();
@@ -222,12 +222,12 @@ TEST(ParallelExchangeEngine, EpochTraceEndsAtFinalMakespan) {
   options.record_trace = true;
   const ParallelRunResult result =
       ParallelExchangeEngine(greedy(), uniform()).run(s, options, 19);
-  ASSERT_EQ(result.epoch_trace.size(), result.epochs);
-  EXPECT_DOUBLE_EQ(result.epoch_trace.back().makespan, result.final_makespan);
-  EXPECT_EQ(result.epoch_trace.back().migrations, result.migrations);
+  ASSERT_EQ(result.trace.size(), result.epochs);
+  EXPECT_DOUBLE_EQ(result.trace.back().makespan, result.final_makespan);
+  EXPECT_EQ(result.trace.back().migrations, result.migrations);
   std::uint64_t sessions = 0;
-  for (const EpochTracePoint& point : result.epoch_trace) {
-    sessions += point.sessions;
+  for (const TracePoint& point : result.trace) {
+    sessions += point.count;
   }
   EXPECT_EQ(sessions, result.exchanges);
 }

@@ -39,7 +39,7 @@ Instance with_model(Instance instance, const std::string& spec) {
 struct SeqRun {
   std::uint64_t fingerprint = 0;
   std::string report_json;
-  std::vector<dist::ExchangeTracePoint> trace;
+  std::vector<dist::TracePoint> trace;
 };
 
 SeqRun run_seq(const Instance& instance, const std::string& kernel_name,
@@ -56,7 +56,7 @@ SeqRun run_seq(const Instance& instance, const std::string& kernel_name,
   SeqRun run;
   run.fingerprint = schedule.fingerprint();
   run.report_json = result.to_json().dump();
-  run.trace = result.exchange_trace;
+  run.trace = result.trace;
   return run;
 }
 
@@ -66,7 +66,7 @@ void expect_same_seq(const SeqRun& a, const SeqRun& b, const char* label) {
   ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
   for (std::size_t x = 0; x < a.trace.size(); ++x) {
     EXPECT_EQ(a.trace[x].makespan, b.trace[x].makespan) << label;
-    EXPECT_EQ(a.trace[x].changed, b.trace[x].changed) << label;
+    EXPECT_EQ(a.trace[x].count, b.trace[x].count) << label;
     EXPECT_EQ(a.trace[x].migrations, b.trace[x].migrations) << label;
   }
 }
@@ -74,7 +74,7 @@ void expect_same_seq(const SeqRun& a, const SeqRun& b, const char* label) {
 struct ParRun {
   std::uint64_t fingerprint = 0;
   std::string report_json;
-  std::vector<dist::EpochTracePoint> trace;
+  std::vector<dist::TracePoint> trace;
 };
 
 ParRun run_par(const Instance& instance, const std::string& kernel_name,
@@ -93,7 +93,7 @@ ParRun run_par(const Instance& instance, const std::string& kernel_name,
   ParRun run;
   run.fingerprint = schedule.fingerprint();
   run.report_json = result.to_json().dump();
-  run.trace = result.epoch_trace;
+  run.trace = result.trace;
   return run;
 }
 
@@ -103,7 +103,7 @@ void expect_same_par(const ParRun& a, const ParRun& b, const char* label) {
   ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
   for (std::size_t x = 0; x < a.trace.size(); ++x) {
     EXPECT_EQ(a.trace[x].makespan, b.trace[x].makespan) << label;
-    EXPECT_EQ(a.trace[x].sessions, b.trace[x].sessions) << label;
+    EXPECT_EQ(a.trace[x].count, b.trace[x].count) << label;
     EXPECT_EQ(a.trace[x].migrations, b.trace[x].migrations) << label;
   }
 }

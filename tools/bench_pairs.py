@@ -20,9 +20,17 @@ CPU ticks of its wall time.
 For every metric both trees report it prints the median and interquartile
 range (IQR) of each side, the median change, and in how many pairs HEAD
 was better, in the direction BENCHMARK.json declares ("equal" when every
-run of both trees gave the same value). The table is printed twice: over
-all pairs, and over the pairs in which neither run lost more than
---steal-pct percent of its CPU time to steal.
+run of both trees gave the same value). Each end-to-end metric also gets a
+no-regression verdict against its BENCHMARK.json bound:
+
+    worse       the HEAD median is worse than the BASE median by more than
+                the bound (relative to the BASE median);
+    unresolved  the BASE IQR over the BASE median exceeds the bound, and
+                not every HEAD run beats every BASE run;
+    ok          otherwise.
+
+The table is printed twice: over all pairs, and over the pairs in which
+neither run lost more than --steal-pct percent of its CPU time to steal.
 
 Exit status: 0 when every run was correct, 1 when any run failed or was
 not correct (its numbers are still printed), 2 on bad arguments or a
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -68,15 +77,42 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
+def verdict(base: list[float], head: list[float], better: str,
+            bound: float) -> str:
+    """The no-regression verdict of one end-to-end metric (see the module
+    docstring). `bound` is relative to the BASE median."""
+    b1, b2, b3 = quartiles(base)
+    h2 = quartiles(head)[1]
+    sign = 1.0 if better == "lower" else -1.0
+    # Relative to the BASE median; where that is zero, any worsening, and
+    # any spread, exceeds every bound.
+    def relative(delta: float) -> float:
+        if b2 != 0:
+            return delta / abs(b2)
+        return math.inf if delta > 0 else 0.0
+
+    if relative(sign * (h2 - b2)) > bound:
+        return "worse"
+    spread = relative(b3 - b1)
+    head_beats_all = (max(head) < min(base) if better == "lower"
+                      else min(head) > max(base))
+    if spread > bound and not head_beats_all:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float]) -> list[str]:
     """One line per metric over `pairs` (each {"base": result, "head":
-    result}); HEAD wins a pair when its value is strictly better."""
+    result}); HEAD wins a pair when its value is strictly better. Metrics
+    with a bound (the end-to-end ones) end with their verdict."""
     if not pairs:
         return ["  (no pairs)"]
     names = sorted(set(pairs[0]["base"]["metrics"]) &
                    set(pairs[0]["head"]["metrics"]))
     lines = [f"  {'metric':<22}{'base median':>14}{'base IQR':>12}"
-             f"{'head median':>14}{'head IQR':>12}{'change':>9}  wins"]
+             f"{'head median':>14}{'head IQR':>12}{'change':>9}  "
+             f"{'wins':<7}verdict"]
     for name in names:
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         head = [p["head"]["metrics"][name]["value"] for p in pairs]
@@ -92,8 +128,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
             wins = f"{sum(h > b for b, h in zip(base, head))}/{len(pairs)}"
         else:
             wins = "-"
+        judged = (verdict(base, head, direction, bounds[name])
+                  if name in bounds else "-")
         lines.append(f"  {name:<22}{b2:>14.6g}{b3 - b1:>12.3g}"
-                     f"{h2:>14.6g}{h3 - h1:>12.3g}{change:>+8.1f}%  {wins}")
+                     f"{h2:>14.6g}{h3 - h1:>12.3g}{change:>+8.1f}%  "
+                     f"{wins:<7}{judged}")
     return lines
 
 
@@ -129,6 +168,7 @@ def main() -> int:
         return 2
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     work = args.work_dir or tempfile.mkdtemp(prefix="bench_pairs_")
     trees = {"base": os.path.join(work, "base"),
@@ -192,10 +232,10 @@ def main() -> int:
                 if calm_run(p["base"]) and calm_run(p["head"])]
         print(f"\n{name}: {args.base} -> {args.head}, seed {args.seed}, "
               f"{args.seconds} s, {len(pairs)} pairs")
-        print("\n".join(summarize(pairs, better)))
+        print("\n".join(summarize(pairs, better, bounds)))
         print(f"{name}: the {len(calm)} pairs with at most "
               f"{args.steal_pct}% steal per run")
-        print("\n".join(summarize(calm, better)))
+        print("\n".join(summarize(calm, better, bounds)))
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
