@@ -933,6 +933,11 @@ int run_command(const std::vector<std::string>& argv, std::ostream& out,
       return 0;
     }
     return usage_error(err, "unknown command '" + command + "'");
+  } catch (const dist::CheckpointMismatch& e) {
+    // A --resume file that does not fit --in: the refused value is in a
+    // file, not a flag, so it is no usage error.
+    err << "dlbsim: " << e.what() << "\n";
+    return 1;
   } catch (const std::invalid_argument& e) {
     return usage_error(err, e.what());
   } catch (const std::exception& e) {

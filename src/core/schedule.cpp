@@ -17,7 +17,8 @@ Schedule::Schedule(const Instance& instance)
 Schedule::Schedule(const Instance& instance, Assignment assignment)
     : instance_(&instance),
       assignment_(std::move(assignment)),
-      table_(instance.num_machines(), instance.num_jobs()) {
+      table_(instance.num_machines(), instance.num_jobs(),
+             assignment_.raw()) {
   if (assignment_.num_jobs() != instance.num_jobs()) {
     throw std::invalid_argument("Schedule: assignment/instance job mismatch");
   }
@@ -118,12 +119,12 @@ void Schedule::assign(JobId j, MachineId i) {
   if (decision_instance_) decision_loads_[i] += decision_instance_->cost(i, j);
 }
 
-bool Schedule::relocate(JobId j, MachineId from, MachineId to) {
+bool Schedule::settle(JobId j, MachineId from, MachineId to) {
   if (from == kUnassigned) {
     assign(j, to);
     return false;
   }
-  table_.detach(j, from, instance_->cost(from, j));
+  table_.debit(from, instance_->cost(from, j));
   assignment_.assign(j, to);
   table_.attach(j, to, instance_->cost(to, j), /*migrated=*/true);
   if (decision_instance_) {
@@ -136,13 +137,26 @@ bool Schedule::relocate(JobId j, MachineId from, MachineId to) {
 void Schedule::move(JobId j, MachineId to) {
   const MachineId from = assignment_.machine_of(j);
   if (from == to) return;
-  if (relocate(j, from, to)) {
+  if (from != kUnassigned) table_.take(j, from);
+  if (settle(j, from, to)) {
     migrations_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 bool Schedule::move_split(MachineId a, std::span<const JobId> to_a,
                           MachineId b, std::span<const JobId> to_b) {
+  // Every leaving job gives up its row slot before any job arrives, so a
+  // row never holds more than the larger of its counts before and after
+  // the split. Moved one at a time, a's row would first take all of
+  // to_a's arrivals on top of the jobs still to leave for b.
+  const auto leave = [&](std::span<const JobId> jobs, MachineId to) {
+    for (const JobId j : jobs) {
+      const MachineId from = assignment_.machine_of(j);
+      if (from != to && from != kUnassigned) table_.take(j, from);
+    }
+  };
+  leave(to_a, a);
+  leave(to_b, b);
   bool changed = false;
   std::uint64_t migrated = 0;
   const auto deliver = [&](std::span<const JobId> jobs, MachineId to) {
@@ -150,7 +164,7 @@ bool Schedule::move_split(MachineId a, std::span<const JobId> to_a,
       const MachineId from = assignment_.machine_of(j);
       if (from == to) continue;
       changed = true;
-      migrated += relocate(j, from, to) ? 1 : 0;
+      migrated += settle(j, from, to) ? 1 : 0;
     }
   };
   deliver(to_a, a);
@@ -203,6 +217,7 @@ Cost Schedule::total_load() const noexcept {
 }
 
 bool Schedule::check_consistency(double tol) const {
+  if (!table_.rows_consistent()) return false;
   const std::size_t m = table_.num_machines();
   std::vector<Cost> expected(m, 0.0);
   std::vector<char> seen(assignment_.num_jobs(), 0);
@@ -227,10 +242,8 @@ bool Schedule::check_consistency(double tol) const {
 }
 
 std::vector<JobId> sorted_jobs_on(const Schedule& schedule, MachineId i) {
-  const auto row = schedule.jobs_on(i);
-  std::vector<JobId> jobs;
-  jobs.reserve(row.size());
-  for (const JobId j : row) jobs.push_back(j);
+  const LoadTable::JobList row = schedule.jobs_on(i);
+  std::vector<JobId> jobs(row.begin(), row.end());
   std::sort(jobs.begin(), jobs.end());
   return jobs;
 }

@@ -5,8 +5,8 @@
 // and a fingerprint for cycle detection. This is the mutable state every
 // balancing kernel and simulator operates on.
 //
-// Storage: per-machine state lives in a LoadTable (contiguous pooled
-// arrays), so moving a job is O(1) and allocation-free. Cmax is cached
+// Storage: per-machine state lives in a LoadTable (flat arrays, one
+// contiguous id row per machine), so moving a job is O(1). Cmax is cached
 // with the machine that holds it; the LoadTable records which machines'
 // loads changed, and makespan() folds only those into the cache.
 // Concurrency contract (what ParallelExchangeEngine relies on; see
@@ -119,8 +119,8 @@ class Schedule {
     return table_.jobs(i);
   }
 
-  /// Requests job j's assignment slot and row links into the cache ahead
-  /// of an assign, move or unassign. Changes no state; always inlined,
+  /// Requests job j's assignment slot and row position into the cache
+  /// ahead of an assign, move or unassign. Changes no state; always inlined,
   /// like LoadTable::prefetch.
   [[gnu::always_inline]] void prefetch(JobId j) const noexcept {
     __builtin_prefetch(assignment_.raw().data() + j, 1);
@@ -135,9 +135,11 @@ class Schedule {
 
   /// move(j, a) for every job of `to_a` in order, then move(j, b) for every
   /// job of `to_b`: the same load updates in the same order, but the split's
-  /// migrations reach migrations() in one relaxed add after both loops.
-  /// Returns true iff any job's machine changed (placements of unassigned
-  /// jobs included). The pair kernels' apply_split.
+  /// migrations reach migrations() in one relaxed add after both loops, and
+  /// every leaving job leaves its row before any job arrives. A job may
+  /// appear at most once in to_a and to_b together. Returns true iff any
+  /// job's machine changed (placements of unassigned jobs included). The
+  /// pair kernels' apply_split.
   bool move_split(MachineId a, std::span<const JobId> to_a, MachineId b,
                   std::span<const JobId> to_b);
 
@@ -201,10 +203,10 @@ class Schedule {
   [[nodiscard]] bool check_consistency(double tol = 1e-6) const;
 
  private:
-  /// move()'s body for a job currently on `from` (!= to), without the
-  /// migration count: places an unassigned job, else detaches and
-  /// reattaches it. Returns true iff that was a migration.
-  bool relocate(JobId j, MachineId from, MachineId to);
+  /// move()'s body after the row half: job j's slot on `from` (!= to) is
+  /// already free. Places an unassigned job, else debits `from` and
+  /// attaches j to `to`. Returns true iff that was a migration.
+  bool settle(JobId j, MachineId from, MachineId to);
 
   const Instance* instance_;
   std::shared_ptr<const Instance> decision_instance_;
@@ -222,7 +224,7 @@ class Schedule {
 };
 
 /// The jobs on machine i, ascending by id: a deterministic order for
-/// readers that must not depend on the row's insertion order.
+/// readers that must not depend on row order.
 [[nodiscard]] std::vector<JobId> sorted_jobs_on(const Schedule& schedule,
                                                 MachineId i);
 

@@ -26,7 +26,7 @@ void check_shape(const FrozenSchedule& frozen, const Instance& instance,
                  const std::string& where) {
   if (instance.num_machines() != frozen.num_machines ||
       instance.num_jobs() != frozen.num_jobs) {
-    throw std::invalid_argument(
+    throw CheckpointMismatch(
         where + ": instance shape mismatch (checkpoint is for " +
         std::to_string(frozen.num_machines) + " machines / " +
         std::to_string(frozen.num_jobs) + " jobs, instance has " +
@@ -71,7 +71,7 @@ void check_loads(const FrozenSchedule& frozen, const Instance& instance,
       message << where << ": loads[" << i << "] = " << frozen.loads[i]
               << " does not match the assignment, whose jobs sum to "
               << sum[i];
-      throw std::invalid_argument(message.str());
+      throw CheckpointMismatch(message.str());
     }
   }
 }
@@ -133,7 +133,7 @@ Schedule Checkpoint::make_schedule(const Instance& instance) const {
   }
   for (JobId job = 0; job < assignment.size(); ++job) {
     if (assignment[job] == kUnassigned && queued[job] == 0) {
-      throw std::invalid_argument(
+      throw CheckpointMismatch(
           "Checkpoint::make_schedule: job " + std::to_string(job) +
           " is on no machine and not in churn_queue");
     }

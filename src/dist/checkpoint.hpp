@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +40,16 @@ class TextReader;
 }  // namespace dlb::codec
 
 namespace dlb::dist {
+
+/// A checkpoint that does not fit the run it is given to: its shape, load
+/// bits, job places or engine state disagree with the instance, the seed
+/// or the engine. An std::invalid_argument, so code that checks arguments
+/// still catches it; the command-line tools report it as a refused input
+/// file rather than a usage error.
+class CheckpointMismatch : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 /// The frozen Schedule inside every checkpoint (closed engines, the open
 /// system and dlbd's replica): the machine of each job and the exact
@@ -56,7 +67,7 @@ struct FrozenSchedule {
   /// Copies the shape, assignment and load bits of `schedule`.
   void freeze(const Schedule& schedule);
   /// A new schedule with the frozen assignment and loads. Throws
-  /// std::invalid_argument, naming `type`, if the instance shape differs,
+  /// CheckpointMismatch, naming `type`, if the instance shape differs,
   /// or naming `loads[i]` if a stored load is further from its machine's
   /// recomputed sum than rounding explains (see checkpoint.cpp).
   [[nodiscard]] Schedule make_schedule(const Instance& instance,

@@ -40,7 +40,7 @@ bool EpochRun::begin(std::string_view engine, bool checks_seed, bool matches) {
   if (ck != nullptr &&
       (!matches || ck->num_machines != schedule.num_machines() ||
        ck->num_jobs != schedule.num_jobs())) {
-    throw std::invalid_argument(
+    throw CheckpointMismatch(
         std::string(engine) +
         ": checkpoint does not match this run (engine kind" +
         (checks_seed ? ", seed, or" : " or") + " instance shape differs)");

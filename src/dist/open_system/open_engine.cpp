@@ -4,9 +4,11 @@
 #include <array>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <queue>
 #include <ranges>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,6 +23,13 @@ namespace {
 [[noreturn]] void reject(const char* field, const std::string& why) {
   throw std::invalid_argument("OpenSystemEngine: invalid OpenSystemOptions." +
                               std::string(field) + ": " + why);
+}
+
+/// reject for the resume field, as a CheckpointMismatch: the refused value
+/// came from a checkpoint, not from an option.
+[[noreturn]] void reject_resume(const std::string& why) {
+  throw CheckpointMismatch(
+      "OpenSystemEngine: invalid OpenSystemOptions.resume: " + why);
 }
 
 /// Purpose keys of the run seed's substreams. Mixing through splitmix64
@@ -141,6 +150,17 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   if (!std::isfinite(options.repair_every) || options.repair_every < 0.0) {
     reject("repair_every", "must be >= 0 and finite");
   }
+  const bool repair_enabled = options.repair_every > 0.0 &&
+                              options.repair_budget > 0 && m >= 2;
+  // The latest service end the loop can reach. The repair clock counts
+  // bursts in a double, so past 2^53 of them repair_every * (bursts + 1)
+  // can stop advancing; a horizon further out (or an infinite one) would
+  // leave the repair bursts firing forever.
+  const double horizon_limit =
+      repair_enabled
+          ? std::min(options.repair_every * 0x1p53,
+                     std::numeric_limits<double>::max())
+          : std::numeric_limits<double>::max();
 
   static const RandomPlacement kDefaultPlacement;
   const PlacementPolicy& placement = options.placement != nullptr
@@ -166,56 +186,58 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   if (options.resume != nullptr) {
     const OpenCheckpoint& ck = *options.resume;
     if (ck.seed != seed) {
-      reject("resume", "checkpoint was taken under seed " +
-                           std::to_string(ck.seed) + ", run() got " +
-                           std::to_string(seed));
+      reject_resume("checkpoint was taken under seed " +
+                        std::to_string(ck.seed) + ", run() got " +
+                        std::to_string(seed));
     }
     if (ck.num_machines != m || ck.num_jobs != n ||
         ck.total_arrivals != total) {
-      reject("resume", "checkpoint does not match this run's instance shape "
-                       "or arrival count");
+      reject_resume("checkpoint does not match this run's instance shape "
+                    "or arrival count");
     }
     if (ck.submitted > total) {
-      reject("resume", "checkpoint submitted " + std::to_string(ck.submitted) +
-                           " exceeds total_arrivals " + std::to_string(total));
+      reject_resume("checkpoint submitted " + std::to_string(ck.submitted) +
+                        " exceeds total_arrivals " + std::to_string(total));
     }
     if (ck.completed > ck.submitted) {
-      reject("resume", "checkpoint completed " + std::to_string(ck.completed) +
-                           " exceeds submitted " +
-                           std::to_string(ck.submitted));
+      reject_resume("checkpoint completed " + std::to_string(ck.completed) +
+                        " exceeds submitted " +
+                        std::to_string(ck.submitted));
     }
     if (ck.in_service.size() != m || ck.busy_until.size() != m ||
         ck.completion_time.size() != n || ck.queue_seen.size() != n) {
-      reject("resume", "checkpoint in_service/busy_until need " +
-                           std::to_string(m) +
-                           " entries and completion_time/queue_seen " +
-                           std::to_string(n));
+      reject_resume("checkpoint in_service/busy_until need " +
+                        std::to_string(m) +
+                        " entries and completion_time/queue_seen " +
+                        std::to_string(n));
     }
     if (!std::isfinite(ck.now)) {
-      reject("resume", "checkpoint now is not finite");
+      reject_resume("checkpoint now is not finite");
     }
     std::size_t serving = 0;
     for (MachineId i = 0; i < m; ++i) {
       if (ck.in_service[i] == kNoJob) continue;
       ++serving;
       if (ck.in_service[i] >= n) {
-        reject("resume", "checkpoint in_service[" + std::to_string(i) +
-                             "] names no job of the instance");
+        reject_resume("checkpoint in_service[" + std::to_string(i) +
+                          "] names no job of the instance");
       }
       // Negated so a NaN horizon is refused too: the completion queue
-      // needs a strict weak order, and no job finishes in the past.
-      if (!(ck.busy_until[i] >= ck.now)) {
-        reject("resume", "checkpoint busy_until[" + std::to_string(i) +
-                             "] is before now");
+      // needs a strict weak order, no job finishes in the past, and one
+      // past horizon_limit would never complete.
+      if (!(ck.busy_until[i] >= ck.now && ck.busy_until[i] <= horizon_limit)) {
+        reject_resume("checkpoint busy_until[" + std::to_string(i) +
+                          "] is before now, not finite or past the reach "
+                          "of the repair clock");
       }
     }
     // Admitted jobs are completed, in service or waiting; more of the
     // first two would wrap the waiting count.
     if (serving > ck.submitted - ck.completed) {
-      reject("resume", "checkpoint completed " + std::to_string(ck.completed) +
-                           " plus " + std::to_string(serving) +
-                           " in service exceeds submitted " +
-                           std::to_string(ck.submitted));
+      reject_resume("checkpoint completed " + std::to_string(ck.completed) +
+                        " plus " + std::to_string(serving) +
+                        " in service exceeds submitted " +
+                        std::to_string(ck.submitted));
     }
     // The counts pass, so check each job: an arrived one is in exactly one
     // of waiting, in service and completed, and any other in none. A job
@@ -233,17 +255,17 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
       places[j] += (schedule.machine_of(j) != kUnassigned ? 1 : 0) +
                    (done ? 1 : 0);
       if (places[j] != arrived[j]) {
-        reject("resume", "checkpoint job " + std::to_string(j) +
-                             (arrived[j] != 0 ? " has" : " has not") +
-                             " arrived but is in " +
-                             std::to_string(places[j]) +
-                             " of waiting, in service and completed");
+        reject_resume("checkpoint job " + std::to_string(j) +
+                          (arrived[j] != 0 ? " has" : " has not") +
+                          " arrived but is in " +
+                          std::to_string(places[j]) +
+                          " of waiting, in service and completed");
       }
     }
     if (finished != ck.completed) {
-      reject("resume", "checkpoint completed " + std::to_string(ck.completed) +
-                           " but " + std::to_string(finished) +
-                           " jobs have a completion time");
+      reject_resume("checkpoint completed " + std::to_string(ck.completed) +
+                        " but " + std::to_string(finished) +
+                        " jobs have a completion time");
     }
     state = ck;
     place_rng = stats::Rng::from_state(ck.place_rng);
@@ -315,17 +337,23 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     if (next == kNoJob) return;
     // A mapped instance's costs and a cost model's parameters are not
     // checked on load; a NaN horizon would break the completion queue's
-    // strict weak order, and a negative one would run the clock back.
+    // strict weak order, a negative service time would run the clock back,
+    // and a horizon past horizon_limit (an infinite service time, or
+    // now + service overflowing) would never complete. Negated, so NaN
+    // fails too.
     const double service = service_time(i, next);
-    if (!std::isfinite(service) || service < 0.0) {
-      throw std::invalid_argument(
-          "OpenSystemEngine: job " + std::to_string(next) + " on machine " +
-          std::to_string(i) + " has service time " + std::to_string(service) +
-          " (must be finite and >= 0)");
+    const double horizon = state.now + service;
+    if (!(horizon <= horizon_limit) || service < 0.0) {
+      std::ostringstream why;
+      why << "OpenSystemEngine: job " << next << " on machine " << i
+          << " has service time " << service << " from time " << state.now
+          << " (must be finite and >= 0, and its end must be finite and "
+             "within 2^53 repair bursts)";
+      throw std::invalid_argument(why.str());
     }
     schedule.unassign(next);
     state.in_service[i] = next;
-    state.busy_until[i] = state.now + service;
+    state.busy_until[i] = horizon;
     completions.emplace(state.busy_until[i], i);
   };
 
@@ -335,9 +363,6 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   // read is not known ahead, so it requests none.
   const std::size_t cost_groups =
       instance.num_groups() <= 2 ? instance.num_groups() : 0;
-
-  const bool repair_enabled = options.repair_every > 0.0 &&
-                              options.repair_budget > 0 && m >= 2;
 
   const auto run_burst = [&]() {
     const std::uint64_t migrations_pre = schedule.migrations();

@@ -12,9 +12,10 @@ PairScratch& pair_scratch() noexcept {
 
 void pooled_jobs_into(const Schedule& schedule, MachineId a, MachineId b,
                       std::vector<JobId>& pool) {
-  pool.resize(schedule.jobs_on(a).size() + schedule.jobs_on(b).size());
-  JobId* out = pool.data();
-  for_each_pooled_job(schedule, a, b, [&](JobId j) { *out++ = j; });
+  const LoadTable::JobList on_a = schedule.jobs_on(a);
+  const LoadTable::JobList on_b = schedule.jobs_on(b);
+  pool.assign(on_a.begin(), on_a.end());
+  pool.insert(pool.end(), on_b.begin(), on_b.end());
   std::sort(pool.begin(), pool.end());
 }
 

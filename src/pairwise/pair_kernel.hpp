@@ -16,7 +16,7 @@
 namespace dlb::pairwise {
 
 /// Reusable per-thread scratch for the kernel hot path: the pooled-job
-/// buffer (filled by for_each_pooled_job), the split outputs, the flat key
+/// buffer (filled by pooled_jobs_into), the split outputs, the flat key
 /// arrays the comparator ratio sort gathers group-cost columns into
 /// (contiguous, so the comparator reads sequential memory instead of
 /// striding the cost matrix), the packed (rank key << 32 | job) words of
@@ -72,27 +72,14 @@ class PairKernel {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
-/// Calls visit(j) once for every job on machine a or b, in unspecified
-/// order. The walker steps a's and b's linked rows (core/load_table.hpp) in
-/// lockstep: each step of a row waits on the link it read before, a likely
-/// cache miss on large instances, and walking the two rows side by side
-/// keeps two such misses in flight instead of one. Every caller sorts what
-/// it gathers into a total order, so the visit order never shows.
+/// Calls visit(j) once for every job on machine a or b: a's row, then b's.
+/// Every caller sorts what it gathers into a total order, so the visit
+/// order never shows.
 template <class Visit>
 void for_each_pooled_job(const Schedule& schedule, MachineId a, MachineId b,
                          Visit&& visit) {
-  const LoadTable::JobList on_a = schedule.jobs_on(a);
-  const LoadTable::JobList on_b = schedule.jobs_on(b);
-  auto at_a = on_a.begin();
-  auto at_b = on_b.begin();
-  while (at_a != on_a.end() && at_b != on_b.end()) {
-    visit(*at_a);
-    visit(*at_b);
-    ++at_a;
-    ++at_b;
-  }
-  for (; at_a != on_a.end(); ++at_a) visit(*at_a);
-  for (; at_b != on_b.end(); ++at_b) visit(*at_b);
+  for (const JobId j : schedule.jobs_on(a)) visit(j);
+  for (const JobId j : schedule.jobs_on(b)) visit(j);
 }
 
 /// Collects the pooled jobs of a and b sorted by job id: the deterministic

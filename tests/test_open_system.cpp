@@ -803,7 +803,7 @@ TEST(OpenSystemEngine, ResumeRejectsSeedAndShapeMismatches) {
                    [](JobId j) { return j != kNoJob; });
   ASSERT_NE(busy, serving.in_service.end());
   const auto busy_machine = busy - serving.in_service.begin();
-  std::vector<OpenCheckpoint> broken(7, serving);
+  std::vector<OpenCheckpoint> broken(8, serving);
   broken[0].in_service.pop_back();
   broken[1].busy_until.pop_back();
   broken[2].completion_time.pop_back();
@@ -813,6 +813,7 @@ TEST(OpenSystemEngine, ResumeRejectsSeedAndShapeMismatches) {
       std::numeric_limits<double>::quiet_NaN();
   broken[6].in_service[busy_machine] =
       static_cast<JobId>(instance.num_jobs());
+  broken[7].busy_until[busy_machine] = std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < broken.size(); ++k) {
     OpenSystemOptions bad_options = open_options(plan);
     bad_options.resume = &broken[k];
@@ -962,6 +963,41 @@ TEST(OpenSystemEngine, RunIsBackingInvariantOverTheMappedStore) {
   }
   std::error_code ec;
   std::filesystem::remove(path, ec);
+}
+
+TEST(OpenSystemEngine, ServiceHorizonPastTheClockIsRefused) {
+  // Every service time is finite. Without repair the second job a machine
+  // serves starts near 1e308 and would end past the largest double; with
+  // repair every 1, already the first end lies past the 2^53 bursts the
+  // repair clock can count. Either horizon would leave the loop running
+  // (repair bursts firing) forever.
+  const Instance instance = Instance::identical(2, {1e308, 1e308, 1e308});
+  const ArrivalPlan plan = ArrivalPlan::poisson(1000.0, 1);
+  const auto random = make_placement("random");
+  const UniformPeerSelector selector;
+  const OpenSystemEngine engine(
+      pairwise::kernel_registry().get("basic-greedy"), selector);
+  for (const double repair_every : {0.0, 1.0}) {
+    OpenSystemOptions options = open_options(plan);
+    options.placement = random.get();
+    options.repair_every = repair_every;
+    options.repair_budget = 2;
+    Schedule schedule(instance);
+    try {
+      engine.run(schedule, options, kSeed);
+      ADD_FAILURE() << "repair_every " << repair_every
+                    << ": an unreachable service horizon was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(" on machine "), std::string::npos) << what;
+      // Without repair the refused start is the second one, at 1e308.
+      EXPECT_EQ(what.find("from time 1e+308") != std::string::npos,
+                repair_every == 0.0)
+          << what;
+      EXPECT_NE(what.find("its end must be finite"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(OpenSystemEngine, NonFiniteMappedCostIsRefusedWhenTheJobStarts) {
