@@ -938,6 +938,10 @@ int run_command(const std::vector<std::string>& argv, std::ostream& out,
     // file, not a flag, so it is no usage error.
     err << "dlbsim: " << e.what() << "\n";
     return 1;
+  } catch (const dist::ServiceTimeRefused& e) {
+    // A service time from --in that serve cannot run: the same.
+    err << "dlbsim: " << e.what() << "\n";
+    return 1;
   } catch (const std::invalid_argument& e) {
     return usage_error(err, e.what());
   } catch (const std::exception& e) {

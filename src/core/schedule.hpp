@@ -72,7 +72,8 @@ class Schedule {
   /// the decision-load accumulators canonically (ascending job id --
   /// the same order the constructor billed the real loads in, so a
   /// surrogate whose costs are bitwise equal to the real ones yields
-  /// bitwise-equal accumulators on a freshly built schedule).
+  /// bitwise-equal accumulators on a freshly built schedule). A different
+  /// instance than the current one clears every row_in_order flag.
   void set_decision_instance(std::shared_ptr<const Instance> surrogate);
 
   /// Machine i's load as the decision instance prices it. Maintained
@@ -143,6 +144,23 @@ class Schedule {
   bool move_split(MachineId a, std::span<const JobId> to_a, MachineId b,
                   std::span<const JobId> to_b);
 
+  /// move_split for a split that partitions exactly the jobs on a and b
+  /// (checked in Debug builds): the same load, decision-load, arrival,
+  /// assignment, touched and migration updates in the same order, after
+  /// which a's row becomes `to_a` and b's row `to_b`, each written whole.
+  /// `in_order` sets both rows' in-order flags (row_in_order): the caller
+  /// vouches that to_a ascends in a's cluster's ratio order and to_b in
+  /// b's, under the decision instance. The whole-pool kernels' apply.
+  bool write_split(MachineId a, std::span<const JobId> to_a, MachineId b,
+                   std::span<const JobId> to_b, bool in_order);
+
+  /// True when machine i's row ascends in its own cluster's ratio order
+  /// (ties in any order) under the decision instance: the row was last
+  /// written by write_split with `in_order`, and has not changed since.
+  [[nodiscard]] bool row_in_order(MachineId i) const noexcept {
+    return table_.in_order(i);
+  }
+
   /// Removes job j from its machine (becomes unassigned).
   void unassign(JobId j);
 
@@ -207,6 +225,14 @@ class Schedule {
   /// already free. Places an unassigned job, else debits `from` and
   /// attaches j to `to`. Returns true iff that was a migration.
   bool settle(JobId j, MachineId from, MachineId to);
+  /// settle's billing for an assigned job: debits `from`, reassigns j and
+  /// credits `to` (an arrival), in real and decision loads.
+  void bill_move(JobId j, MachineId from, MachineId to);
+  /// write_split's precondition: to_a and to_b together list each job on
+  /// a and b exactly once, and no other job.
+  [[nodiscard]] bool splits_pair(MachineId a, std::span<const JobId> to_a,
+                                 MachineId b,
+                                 std::span<const JobId> to_b) const;
 
   const Instance* instance_;
   std::shared_ptr<const Instance> decision_instance_;

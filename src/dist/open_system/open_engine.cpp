@@ -349,7 +349,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
           << " has service time " << service << " from time " << state.now
           << " (must be finite and >= 0, and its end must be finite and "
              "within 2^53 repair bursts)";
-      throw std::invalid_argument(why.str());
+      throw ServiceTimeRefused(why.str());
     }
     schedule.unassign(next);
     state.in_service[i] = next;

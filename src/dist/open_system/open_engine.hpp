@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -132,6 +133,17 @@ struct OpenRunReport : RunReport {
   [[nodiscard]] stats::Json to_json() const;
   /// Base block plus the open-system lines.
   void print(std::ostream& out) const;
+};
+
+/// A job whose service the run cannot schedule: its service time is
+/// negative or NaN, or its end lies past the repair clock's horizon. The
+/// time comes from the instance (or its cost model), not from an option,
+/// so the command-line tools report it as a refused input file, as they do
+/// a CheckpointMismatch. An std::invalid_argument, so code that checks
+/// arguments still catches it.
+class ServiceTimeRefused : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
 };
 
 class OpenSystemEngine {

@@ -73,7 +73,7 @@ bool BasicGreedyKernel::balance(Schedule& schedule, MachineId a,
   const auto [load_a, load_b] =
       basic_greedy_split(instance, a, b, s.pool, s.to_a, s.to_b);
   if (split_is_load_neutral(schedule, a, b, load_a, load_b)) return false;
-  return apply_split(schedule, a, b, s.to_a, s.to_b);
+  return schedule.write_split(a, s.to_a, b, s.to_b, /*in_order=*/false);
 }
 
 }  // namespace dlb::pairwise

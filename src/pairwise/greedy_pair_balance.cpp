@@ -18,6 +18,18 @@ namespace {
 constexpr std::size_t kRadixMinPool = 128;
 constexpr unsigned kMaxDigitBits = 11;
 
+/// Puts each run of words with one key (exact duplicates) in ascending
+/// job id, in words whose keys already ascend.
+void sort_equal_keys(std::vector<std::uint64_t>& words) {
+  const std::size_t k = words.size();
+  for (std::size_t p = 0; p < k;) {
+    std::size_t q = p + 1;
+    while (q < k && (words[q] >> 32) == (words[p] >> 32)) ++q;
+    if (q - p > 1) std::sort(words.begin() + p, words.begin() + q);
+    p = q;
+  }
+}
+
 /// Sorts packed (key << 32 | job) words, keys at most `max_key`, ascending.
 void sort_rank_words(std::uint32_t max_key, PairScratch& s) {
   std::vector<std::uint64_t>& words = s.rank_keys;
@@ -52,13 +64,40 @@ void sort_rank_words(std::uint32_t max_key, PairScratch& s) {
     words.swap(s.rank_tmp);
   }
   // The passes are stable, so words of one key (exact duplicates) are still
-  // in gather order: put each such run in ascending job id.
-  for (std::size_t p = 0; p < k;) {
-    std::size_t q = p + 1;
-    while (q < k && (words[q] >> 32) == (words[p] >> 32)) ++q;
-    if (q - p > 1) std::sort(words.begin() + p, words.begin() + q);
-    p = q;
-  }
+  // in gather order.
+  sort_equal_keys(words);
+}
+
+/// The packed words of two rows into s.rank_keys, ascending: each row is
+/// walked backward when its flag says so, forward otherwise, and must then
+/// ascend by key. The walks are merged and each run of one key is put in
+/// id order, so the result equals sort_rank_words over the same words.
+template <class Key>
+void merge_rank_words(std::span<const JobId> row_a, bool back_a,
+                      std::span<const JobId> row_b, bool back_b, Key key,
+                      PairScratch& s) {
+  const std::size_t ka = row_a.size();
+  const std::size_t kb = row_b.size();
+  std::vector<std::uint64_t>& in = s.rank_tmp;
+  in.resize(ka + kb);
+  const auto gather = [&](std::span<const JobId> row, bool back,
+                          std::uint64_t* out) {
+    const std::size_t n = row.size();
+    for (std::size_t p = 0; p < n; ++p) {
+      const JobId j = row[back ? n - 1 - p : p];
+      out[p] = std::uint64_t{key(j)} << 32 | j;
+    }
+  };
+  gather(row_a, back_a, in.data());
+  gather(row_b, back_b, in.data() + ka);
+  std::vector<std::uint64_t>& words = s.rank_keys;
+  words.resize(ka + kb);
+  // Both halves ascend by key, so merging by word keeps the keys
+  // ascending; only runs of one key can come out of id order.
+  std::merge(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(ka),
+             in.begin() + static_cast<std::ptrdiff_t>(ka), in.end(),
+             words.begin());
+  sort_equal_keys(words);
 }
 
 }  // namespace
@@ -120,14 +159,24 @@ void ratio_sorted_pool(const Schedule& schedule, MachineId a, MachineId b,
   const std::span<const std::uint32_t> ranks = rank->ranks();
   const std::uint32_t max_rank = rank->max_rank();
   const bool reversed = num != 0;
+  const auto key = [&](JobId j) {
+    return reversed ? max_rank - ranks[j] : ranks[j];
+  };
   std::vector<std::uint64_t>& words = scratch.rank_keys;
-  words.resize(k);
-  std::uint64_t* out = words.data();
-  for_each_pooled_job(schedule, a, b, [&](JobId j) {
-    const std::uint32_t key = reversed ? max_rank - ranks[j] : ranks[j];
-    *out++ = std::uint64_t{key} << 32 | j;
-  });
-  sort_rank_words(max_rank, scratch);
+  if (schedule.row_in_order(a) && schedule.row_in_order(b)) {
+    // Each row ascends in its own cluster's order, which is the (num, den)
+    // order walked forward, or walked backward in the other cluster.
+    merge_rank_words(schedule.jobs_on(a), instance.group_of(a) != num,
+                     schedule.jobs_on(b), instance.group_of(b) != num, key,
+                     scratch);
+  } else {
+    words.resize(k);
+    std::uint64_t* out = words.data();
+    for_each_pooled_job(schedule, a, b, [&](JobId j) {
+      *out++ = std::uint64_t{key(j)} << 32 | j;
+    });
+    sort_rank_words(max_rank, scratch);
+  }
   scratch.pool.resize(words.size());
   for (std::size_t p = 0; p < words.size(); ++p) {
     scratch.pool[p] = static_cast<JobId>(words[p]);
@@ -167,7 +216,8 @@ bool GreedyPairBalanceKernel::balance(Schedule& schedule, MachineId a,
     }
   }
   if (split_is_load_neutral(schedule, a, b, load_a, load_b)) return false;
-  return apply_split(schedule, a, b, s.to_a, s.to_b);
+  // Dealt in pool order, each side ascends in the pair's own cluster order.
+  return schedule.write_split(a, s.to_a, b, s.to_b, /*in_order=*/true);
 }
 
 }  // namespace dlb::pairwise

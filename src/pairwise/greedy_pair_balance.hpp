@@ -32,7 +32,9 @@ void sort_by_group_ratio_flat(const Instance& instance, GroupId num,
 /// instance: bitwise what pooled_jobs_into followed by
 /// sort_by_group_ratio_flat produce, which is the path it takes until that
 /// instance's ratio rank (core/ratio_rank.hpp) is built. With the rank, a
-/// pool is one sort of packed (rank key << 32 | job) words.
+/// pool is one sort of packed (rank key << 32 | job) words, or, when both
+/// rows are flagged in order (Schedule::row_in_order), a merge of the two
+/// rows' words with each run of one key put in id order.
 void ratio_sorted_pool(const Schedule& schedule, MachineId a, MachineId b,
                        GroupId num, GroupId den, PairScratch& scratch);
 

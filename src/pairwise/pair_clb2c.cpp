@@ -80,7 +80,9 @@ bool PairClb2cKernel::balance(Schedule& schedule, MachineId a,
   const auto [load_a, load_b] =
       deal_sorted_pool(instance, a, b, s.pool, s.to_a, s.to_b, s);
   if (split_is_load_neutral(schedule, a, b, load_a, load_b)) return false;
-  return apply_split(schedule, a, b, s.to_a, s.to_b);
+  // to_a is dealt from the front of the pool, ascending in a's cluster
+  // order; to_b from the back, ascending in b's (the reverse).
+  return schedule.write_split(a, s.to_a, b, s.to_b, /*in_order=*/true);
 }
 
 }  // namespace dlb::pairwise

@@ -73,7 +73,7 @@ bool PairwiseOptimalKernel::balance(Schedule& schedule, MachineId a,
   for (std::size_t k = 0; k < pool.size(); ++k) {
     ((best_mask & (1u << k)) ? s.to_a : s.to_b).push_back(pool[k]);
   }
-  return apply_split(schedule, a, b, s.to_a, s.to_b);
+  return schedule.write_split(a, s.to_a, b, s.to_b, /*in_order=*/false);
 }
 
 }  // namespace dlb::pairwise

@@ -1,8 +1,10 @@
 // Differential tests of LoadTable's contiguous rows: seeded random
 // sequences of table and schedule operations, checked after every step
-// against a plain reference (a std::set of jobs per machine and
-// accumulators replayed with the same += / -= sequence), with copies,
-// moves and swaps in the middle of each sequence.
+// against a plain reference (a std::set of jobs per machine, accumulators
+// replayed with the same += / -= sequence, and each row's in-order flag),
+// with copies, moves and swaps in the middle of each sequence. Rows
+// written whole leave their positions stale, so the attaches, takes and
+// moves that follow one exercise the lazy re-index.
 
 #include "core/load_table.hpp"
 
@@ -32,11 +34,16 @@ std::uint64_t bits(Cost x) { return std::bit_cast<std::uint64_t>(x); }
 /// What a table must hold, kept the plain way.
 struct Reference {
   explicit Reference(std::size_t m, std::size_t n)
-      : rows(m), loads(m, 0.0), arrivals(m, 0), machine_of(n, kUnassigned) {}
+      : rows(m),
+        loads(m, 0.0),
+        arrivals(m, 0),
+        in_order(m, 0),
+        machine_of(n, kUnassigned) {}
 
   std::vector<std::set<JobId>> rows;
   std::vector<Cost> loads;
   std::vector<std::uint64_t> arrivals;
+  std::vector<char> in_order;
   std::set<MachineId> touched;
   std::vector<MachineId> machine_of;
 
@@ -45,12 +52,14 @@ struct Reference {
     machine_of[j] = i;
     loads[i] += cost;
     if (migrated) ++arrivals[i];
+    in_order[i] = 0;
     touched.insert(i);
   }
   void detach(JobId j, MachineId i, Cost cost) {
     rows[i].erase(j);
     machine_of[j] = kUnassigned;
     loads[i] -= cost;
+    in_order[i] = 0;
     touched.insert(i);
   }
 };
@@ -67,6 +76,8 @@ void expect_rows_match(const LoadTable& table, const Reference& ref,
     EXPECT_EQ(bits(table.load(i)), bits(ref.loads[i]))
         << where << ", machine " << i;
     EXPECT_EQ(table.arrivals(i), ref.arrivals[i]) << where;
+    EXPECT_EQ(table.in_order(i), ref.in_order[i] != 0)
+        << where << ", machine " << i;
   }
   EXPECT_TRUE(table.rows_consistent()) << where;
 }
@@ -80,6 +91,48 @@ void expect_table_matches(const LoadTable& table, const Reference& ref,
       << where;
 }
 
+/// A whole-row rewrite of machines a and b on both sides, as
+/// Schedule::write_split does it: their pooled jobs are shuffled and cut,
+/// every job that changes machine is debited and credited, then both rows
+/// are written whole (a == b rewrites one row in a new order).
+void rewrite_rows(LoadTable& table, Reference& ref, MachineId a, MachineId b,
+                  stats::Rng& rng) {
+  std::vector<JobId> pool(ref.rows[a].begin(), ref.rows[a].end());
+  if (b != a) pool.insert(pool.end(), ref.rows[b].begin(), ref.rows[b].end());
+  stats::shuffle(pool.begin(), pool.end(), rng);
+  const std::size_t cut = b == a ? pool.size() : rng.below(pool.size() + 1);
+  const std::span<const JobId> to_a(pool.data(), cut);
+  const std::span<const JobId> to_b(pool.data() + cut, pool.size() - cut);
+  table.reserve_row(a, to_a.size());
+  table.reserve_row(b, to_b.size());
+  const auto deliver = [&](std::span<const JobId> jobs, MachineId to) {
+    for (const JobId j : jobs) {
+      const MachineId from = ref.machine_of[j];
+      if (from == to) continue;
+      const Cost out = 0.5 + j;
+      const Cost in = 0.25 * j;
+      table.debit(from, out);
+      table.credit(to, in, /*migrated=*/true);
+      ref.rows[from].erase(j);
+      ref.rows[to].insert(j);
+      ref.machine_of[j] = to;
+      ref.loads[from] -= out;
+      ref.loads[to] += in;
+      ++ref.arrivals[to];
+      ref.touched.insert(from);
+      ref.touched.insert(to);
+    }
+  };
+  deliver(to_a, a);
+  deliver(to_b, b);
+  const bool in_order = rng.below(2) == 0;
+  if (b != a) table.write_row(b, to_b, in_order);
+  table.write_row(a, to_a, in_order);
+  ref.in_order[a] = ref.in_order[b] = in_order ? 1 : 0;
+  const LoadTable::JobList row = table.jobs(a);
+  EXPECT_TRUE(std::equal(row.begin(), row.end(), to_a.begin(), to_a.end()));
+}
+
 /// One random table operation on both sides. Machine 0 draws a quarter of
 /// the attaches, so its row keeps outgrowing its capacity.
 void random_table_op(LoadTable& table, Reference& ref, stats::Rng& rng) {
@@ -87,7 +140,7 @@ void random_table_op(LoadTable& table, Reference& ref, stats::Rng& rng) {
   const auto j = static_cast<JobId>(rng.below(ref.machine_of.size()));
   const Cost cost = rng.uniform(1.0, 100.0);
   const MachineId from = ref.machine_of[j];
-  switch (rng.below(8)) {
+  switch (rng.below(10)) {
     case 0:
     case 1:
     case 2:
@@ -119,6 +172,12 @@ void random_table_op(LoadTable& table, Reference& ref, stats::Rng& rng) {
       table.set_load(i, cost);
       ref.loads[i] = cost;
       ref.touched.insert(i);
+      break;
+    }
+    case 8:
+    case 9: {
+      const auto a = static_cast<MachineId>(rng.below(m));
+      rewrite_rows(table, ref, a, static_cast<MachineId>(rng.below(m)), rng);
       break;
     }
     default:
@@ -221,6 +280,7 @@ struct ScheduleReference {
         rows(inst.num_machines()),
         loads(inst.num_machines(), 0.0),
         arrivals(inst.num_machines(), 0),
+        in_order(inst.num_machines(), 0),
         machine_of(initial.raw()) {
     for (JobId j = 0; j < machine_of.size(); ++j) {
       const MachineId i = machine_of[j];
@@ -238,10 +298,12 @@ struct ScheduleReference {
       rows[from].erase(j);
       loads[from] -= instance->cost(from, j);
       ++arrivals[to];
+      in_order[from] = 0;
     }
     rows[to].insert(j);
     loads[to] += instance->cost(to, j);
     machine_of[j] = to;
+    in_order[to] = 0;
     return true;
   }
   void unassign(JobId j) {
@@ -250,12 +312,23 @@ struct ScheduleReference {
     rows[from].erase(j);
     loads[from] -= instance->cost(from, j);
     machine_of[j] = kUnassigned;
+    in_order[from] = 0;
+  }
+  /// Schedule::write_split: move_split's sequence, then both flags.
+  bool write_split(MachineId a, std::span<const JobId> to_a, MachineId b,
+                   std::span<const JobId> to_b, bool ordered) {
+    bool changed = false;
+    for (const JobId k : to_a) changed |= move(k, a);
+    for (const JobId k : to_b) changed |= move(k, b);
+    in_order[a] = in_order[b] = ordered ? 1 : 0;
+    return changed;
   }
 
   const Instance* instance;
   std::vector<std::set<JobId>> rows;
   std::vector<Cost> loads;
   std::vector<std::uint64_t> arrivals;
+  std::vector<char> in_order;
   std::vector<MachineId> machine_of;
 };
 
@@ -269,6 +342,8 @@ void expect_schedule_matches(const Schedule& s, const ScheduleReference& ref,
     EXPECT_EQ(bits(s.load(i)), bits(ref.loads[i]))
         << where << ", machine " << i;
     EXPECT_EQ(s.arrivals(i), ref.arrivals[i]) << where;
+    EXPECT_EQ(s.row_in_order(i), ref.in_order[i] != 0)
+        << where << ", machine " << i;
     max_load = std::max(max_load, ref.loads[i]);
   }
   for (JobId j = 0; j < s.num_jobs(); ++j) {
@@ -279,15 +354,16 @@ void expect_schedule_matches(const Schedule& s, const ScheduleReference& ref,
 }
 
 /// A split of a and b's pooled jobs, shuffled and cut at a random point;
-/// now and then it also places an unassigned job or pulls one from a
-/// third machine, which move_split's contract allows.
+/// unless `exact` (write_split's contract), now and then it also places an
+/// unassigned job or pulls one from a third machine, which move_split's
+/// contract allows.
 void random_split(const ScheduleReference& ref, MachineId a, MachineId b,
                   stats::Rng& rng, std::vector<JobId>& to_a,
-                  std::vector<JobId>& to_b) {
+                  std::vector<JobId>& to_b, bool exact = false) {
   std::vector<JobId> pool(ref.rows[a].begin(), ref.rows[a].end());
   pool.insert(pool.end(), ref.rows[b].begin(), ref.rows[b].end());
   const auto extra = static_cast<JobId>(rng.below(ref.machine_of.size()));
-  if (ref.machine_of[extra] != a && ref.machine_of[extra] != b &&
+  if (!exact && ref.machine_of[extra] != a && ref.machine_of[extra] != b &&
       rng.below(3) == 0) {
     pool.push_back(extra);
   }
@@ -302,7 +378,7 @@ void random_schedule_op(Schedule& s, ScheduleReference& ref,
   const std::size_t m = s.num_machines();
   const auto j = static_cast<JobId>(rng.below(s.num_jobs()));
   const auto to = static_cast<MachineId>(rng.below(m));
-  switch (rng.below(10)) {
+  switch (rng.below(13)) {
     case 0:
       s.unassign(j);
       ref.unassign(j);
@@ -328,6 +404,26 @@ void random_schedule_op(Schedule& s, ScheduleReference& ref,
       }
       s.restore_loads(loads);
       ref.loads = loads;
+      break;
+    }
+    case 5:
+    case 6:
+    case 7: {
+      // A whole-pool kernel's apply; the rows it writes take the moves,
+      // assigns and unassigns of later steps with stale positions.
+      const auto b = static_cast<MachineId>((to + 1 + rng.below(m - 1)) % m);
+      std::vector<JobId> to_a;
+      std::vector<JobId> to_b;
+      random_split(ref, to, b, rng, to_a, to_b, /*exact=*/true);
+      const bool ordered = rng.below(2) == 0;
+      const bool changed = ref.write_split(to, to_a, b, to_b, ordered);
+      EXPECT_EQ(s.write_split(to, to_a, b, to_b, ordered), changed);
+      const LoadTable::JobList row_a = s.jobs_on(to);
+      const LoadTable::JobList row_b = s.jobs_on(b);
+      EXPECT_TRUE(std::equal(row_a.begin(), row_a.end(), to_a.begin(),
+                             to_a.end()));
+      EXPECT_TRUE(std::equal(row_b.begin(), row_b.end(), to_b.begin(),
+                             to_b.end()));
       break;
     }
     default: {
@@ -381,11 +477,13 @@ TEST(LoadTableRows, RandomScheduleOpsMatchTheReferenceThroughCopies) {
   }
 }
 
-TEST(LoadTableRows, ConcurrentDisjointPairSplitsMatchASequentialReplay) {
-  // Every job starts on one of the first 4 of 64 machines, so 60 rows
-  // have no storage and grow while other sessions grow theirs. Each round
-  // pairs every machine with one other and splits each pair's pool on a
-  // 4-thread pool; a copy replays the same splits in order on one thread.
+/// Every job starts on one of the first 4 of 64 machines, so 60 rows have
+/// no storage and grow while other sessions grow theirs. Each round pairs
+/// every machine with one other and splits each pair's pool on a 4-thread
+/// pool; a copy replays the same splits in order on one thread. With
+/// `whole`, each split is written whole and then its first job for a
+/// moves on to b, so every session also re-indexes a stale row.
+void expect_concurrent_splits_match_a_replay(bool whole) {
   constexpr std::size_t kMachines = 64;
   const Instance inst =
       gen::uniform_unrelated(kMachines, 4000, 1.0, 100.0, /*seed=*/21);
@@ -418,18 +516,30 @@ TEST(LoadTableRows, ConcurrentDisjointPairSplitsMatchASequentialReplay) {
       to_b[p].assign(jobs.begin() + static_cast<std::ptrdiff_t>(cut),
                      jobs.end());
     }
-    parallel::parallel_for(pool, kMachines / 2, [&](std::size_t p) {
-      concurrent.move_split(order[2 * p], to_a[p], order[2 * p + 1], to_b[p]);
-    });
-    for (std::size_t p = 0; p < kMachines / 2; ++p) {
-      sequential.move_split(order[2 * p], to_a[p], order[2 * p + 1], to_b[p]);
-    }
+    const auto split = [&](Schedule& s, std::size_t p) {
+      const MachineId a = order[2 * p];
+      const MachineId b = order[2 * p + 1];
+      if (!whole) {
+        s.move_split(a, to_a[p], b, to_b[p]);
+        return;
+      }
+      s.write_split(a, to_a[p], b, to_b[p], /*in_order=*/false);
+      if (!to_a[p].empty()) s.move(to_a[p].front(), b);
+    };
+    parallel::parallel_for(pool, kMachines / 2,
+                           [&](std::size_t p) { split(concurrent, p); });
+    for (std::size_t p = 0; p < kMachines / 2; ++p) split(sequential, p);
     for (MachineId i = 0; i < kMachines; ++i) {
       const LoadTable::JobList row = concurrent.jobs_on(i);
       const LoadTable::JobList replay = sequential.jobs_on(i);
       ASSERT_EQ(std::set<JobId>(row.begin(), row.end()),
                 std::set<JobId>(replay.begin(), replay.end()))
           << "round " << round << ", machine " << i;
+      if (whole) {
+        EXPECT_TRUE(std::equal(row.begin(), row.end(), replay.begin(),
+                               replay.end()))
+            << "round " << round << ", machine " << i;
+      }
       EXPECT_EQ(bits(concurrent.load(i)), bits(sequential.load(i)));
       EXPECT_EQ(concurrent.arrivals(i), sequential.arrivals(i));
     }
@@ -437,6 +547,14 @@ TEST(LoadTableRows, ConcurrentDisjointPairSplitsMatchASequentialReplay) {
     EXPECT_EQ(bits(concurrent.makespan()), bits(sequential.makespan()));
     ASSERT_TRUE(concurrent.check_consistency()) << "round " << round;
   }
+}
+
+TEST(LoadTableRows, ConcurrentDisjointPairSplitsMatchASequentialReplay) {
+  expect_concurrent_splits_match_a_replay(/*whole=*/false);
+}
+
+TEST(LoadTableRows, ConcurrentWholeRowWritesMatchASequentialReplay) {
+  expect_concurrent_splits_match_a_replay(/*whole=*/true);
 }
 
 }  // namespace
