@@ -74,6 +74,33 @@ void check_schedule_state(const Schedule& schedule, Report& report) {
                 "cached makespan " + num(schedule.makespan()) +
                     " != max load " + num(max_load));
   }
+  // A flagged row ascends in its own cluster's order: no neighbour pair is
+  // strictly out of sort_by_group_ratio's comparator order (ties may come
+  // in any order). Only the rank path merges flagged rows, so a flag has a
+  // reader only once the decision instance's ratio rank is built; on an
+  // instance the rank refuses, rounded cross products need not order the
+  // jobs at all (core/ratio_rank.hpp), and flags there are not checked.
+  const Instance& decision = schedule.decision_instance();
+  if (decision.num_groups() != 2 || decision.ratio_rank(0) == nullptr) return;
+  for (MachineId i = 0; i < schedule.num_machines(); ++i) {
+    if (!schedule.row_in_order(i)) continue;
+    const GroupId own = decision.group_of(i);
+    const std::span<const Cost> num_row = decision.group_row(own);
+    const std::span<const Cost> den_row = decision.group_row(own == 0 ? 1 : 0);
+    const LoadTable::JobList row = schedule.jobs_on(i);
+    for (std::size_t p = 1; p < row.size(); ++p) {
+      const JobId x = row[p - 1];
+      const JobId y = row[p];
+      if (num_row[y] * den_row[x] < num_row[x] * den_row[y]) {
+        report.fail("state.row_order",
+                    "machine " + std::to_string(i) + " is flagged in order, "
+                    "but job " + std::to_string(y) + " at position " +
+                        std::to_string(p) + " sorts before job " +
+                        std::to_string(x));
+        break;
+      }
+    }
+  }
 }
 
 void check_io_roundtrip(const Instance& instance, const Assignment& initial,

@@ -68,9 +68,12 @@ class Report {
 
 // ----- structural state oracles -----
 
-/// The schedule is a complete partition of all jobs and its incremental
+/// The schedule is a complete partition of all jobs, its incremental
 /// LoadTable (loads, per-machine job lists, cached makespan) matches a
-/// from-scratch recomputation.
+/// from-scratch recomputation, and, once a two-cluster decision
+/// instance's ratio rank is built, every row flagged in order
+/// (Schedule::row_in_order) ascends in its cluster's ratio order
+/// (state.row_order, O(n)).
 void check_schedule_state(const Schedule& schedule, Report& report);
 
 /// Round-trips the instance (and a matching assignment) through the

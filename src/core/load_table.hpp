@@ -246,6 +246,15 @@ class LoadTable {
     touch(i);
   }
 
+  /// A whole split's load half for machine i: stores the load the caller
+  /// summed (Schedule::write_split), adds `arrived` to its arrivals and
+  /// touches it, as that split's credits and debits would have.
+  void bill(MachineId i, Cost load, std::uint64_t arrived) noexcept {
+    loads_[i] = load;
+    arrivals_[i] += arrived;
+    touch(i);
+  }
+
   // ----- whole rows (the ratio kernels' split) -----
 
   /// Makes room for `count` jobs in machine i's row, keeping its jobs.

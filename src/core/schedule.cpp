@@ -10,6 +10,21 @@
 
 namespace dlb {
 
+namespace {
+
+/// Machine i's costs: cost(i, j) is row[j] * scale, the product
+/// Instance::cost forms, with i's group row and scale read once.
+struct CostRow {
+  CostRow(const Instance& instance, MachineId i)
+      : row(instance.group_row(instance.group_of(i)).data()),
+        scale(instance.scale(i)) {}
+  Cost operator()(JobId j) const noexcept { return row[j] * scale; }
+  const Cost* row;
+  double scale;
+};
+
+}  // namespace
+
 Schedule::Schedule(const Instance& instance)
     : instance_(&instance),
       assignment_(instance.num_jobs()),
@@ -127,11 +142,6 @@ bool Schedule::settle(JobId j, MachineId from, MachineId to) {
     return false;
   }
   table_.append(j, to);
-  bill_move(j, from, to);
-  return true;
-}
-
-void Schedule::bill_move(JobId j, MachineId from, MachineId to) {
   table_.debit(from, instance_->cost(from, j));
   assignment_.assign(j, to);
   table_.credit(to, instance_->cost(to, j), /*migrated=*/true);
@@ -139,6 +149,7 @@ void Schedule::bill_move(JobId j, MachineId from, MachineId to) {
     decision_loads_[from] -= decision_instance_->cost(from, j);
     decision_loads_[to] += decision_instance_->cost(to, j);
   }
+  return true;
 }
 
 void Schedule::move(JobId j, MachineId to) {
@@ -193,23 +204,62 @@ bool Schedule::write_split(MachineId a, std::span<const JobId> to_a,
   table_.reserve_row(a, to_a.size());
   table_.reserve_row(b, to_b.size());
   // Every job is on a or b, so a job that does not stay comes from the
-  // other machine, and move_split's deliver loops reduce to bill_move.
-  std::uint64_t migrated = 0;
-  const auto deliver = [&](std::span<const JobId> jobs, MachineId to,
-                           MachineId from) {
-    for (const JobId j : jobs) {
-      if (assignment_.machine_of(j) == to) continue;
-      bill_move(j, from, to);
-      ++migrated;
+  // other machine, and move_split's deliver loops reduce to settle's
+  // debit and credit. Each of the six accumulators below takes settle's
+  // += / -= sequence exactly, so its bits are the same, but in a register:
+  // the table is written once per machine, not once per mover.
+  const Instance* decision = decision_instance_.get();
+  const CostRow real_a(*instance_, a);
+  const CostRow real_b(*instance_, b);
+  const CostRow decision_a = decision ? CostRow(*decision, a) : real_a;
+  const CostRow decision_b = decision ? CostRow(*decision, b) : real_b;
+  Cost load_a = table_.load(a);
+  Cost load_b = table_.load(b);
+  Cost decision_load_a = decision ? decision_loads_[a] : 0.0;
+  Cost decision_load_b = decision ? decision_loads_[b] : 0.0;
+  std::uint64_t into_a = 0;
+  std::uint64_t into_b = 0;
+  for (const JobId j : to_a) {
+    if (assignment_.machine_of(j) == a) continue;
+    load_b -= real_b(j);
+    assignment_.assign(j, a);
+    load_a += real_a(j);
+    if (decision) {
+      decision_load_b -= decision_b(j);
+      decision_load_a += decision_a(j);
     }
-  };
-  deliver(to_a, a, b);
-  deliver(to_b, b, a);
-  table_.write_row(a, to_a, in_order);
-  table_.write_row(b, to_b, in_order);
+    ++into_a;
+  }
+  for (const JobId j : to_b) {
+    if (assignment_.machine_of(j) == b) continue;
+    load_a -= real_a(j);
+    assignment_.assign(j, b);
+    load_b += real_b(j);
+    if (decision) {
+      decision_load_a -= decision_a(j);
+      decision_load_b += decision_b(j);
+    }
+    ++into_b;
+  }
+  const std::uint64_t migrated = into_a + into_b;
   if (migrated != 0) {
+    // The first mover's debit touches its source first: b when it went to
+    // a, else a.
+    if (into_a != 0) {
+      table_.bill(b, load_b, into_b);
+      table_.bill(a, load_a, into_a);
+    } else {
+      table_.bill(a, load_a, into_a);
+      table_.bill(b, load_b, into_b);
+    }
+    if (decision) {
+      decision_loads_[a] = decision_load_a;
+      decision_loads_[b] = decision_load_b;
+    }
     migrations_.fetch_add(migrated, std::memory_order_relaxed);
   }
+  table_.write_row(a, to_a, in_order);
+  table_.write_row(b, to_b, in_order);
   return migrated != 0;
 }
 

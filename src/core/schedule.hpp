@@ -145,12 +145,16 @@ class Schedule {
                   std::span<const JobId> to_b);
 
   /// move_split for a split that partitions exactly the jobs on a and b
-  /// (checked in Debug builds): the same load, decision-load, arrival,
-  /// assignment, touched and migration updates in the same order, after
-  /// which a's row becomes `to_a` and b's row `to_b`, each written whole.
-  /// `in_order` sets both rows' in-order flags (row_in_order): the caller
-  /// vouches that to_a ascends in a's cluster's ratio order and to_b in
-  /// b's, under the decision instance. The whole-pool kernels' apply.
+  /// (checked in Debug builds), after which a's row becomes `to_a` and b's
+  /// row `to_b`, each written whole. The split is billed once: each of
+  /// a's and b's real and decision loads is summed in a local with
+  /// move_split's += / -= sequence, so its bits are move_split's, and is
+  /// stored once with its arrivals. Both machines are touched in
+  /// move_split's order (the first mover's source first), and only when a
+  /// job moves. `in_order` sets both rows' in-order flags (row_in_order):
+  /// the caller vouches that to_a ascends in a's cluster's ratio order and
+  /// to_b in b's, under the decision instance. The whole-pool kernels'
+  /// apply.
   bool write_split(MachineId a, std::span<const JobId> to_a, MachineId b,
                    std::span<const JobId> to_b, bool in_order);
 
@@ -222,12 +226,10 @@ class Schedule {
 
  private:
   /// move()'s body after the row half: job j's slot on `from` (!= to) is
-  /// already free. Places an unassigned job, else debits `from` and
-  /// attaches j to `to`. Returns true iff that was a migration.
+  /// already free. Places an unassigned job, else debits `from`, reassigns
+  /// j and credits `to` (an arrival), in real and decision loads. Returns
+  /// true iff that was a migration.
   bool settle(JobId j, MachineId from, MachineId to);
-  /// settle's billing for an assigned job: debits `from`, reassigns j and
-  /// credits `to` (an arrival), in real and decision loads.
-  void bill_move(JobId j, MachineId from, MachineId to);
   /// write_split's precondition: to_a and to_b together list each job on
   /// a and b exactly once, and no other job.
   [[nodiscard]] bool splits_pair(MachineId a, std::span<const JobId> to_a,

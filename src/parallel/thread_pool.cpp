@@ -89,14 +89,18 @@ void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   std::atomic<std::size_t> cursor{0};
-  const auto claim = [&cursor, &body, count] {
+  // noexcept: a throwing body ends the program on the caller as on a
+  // worker, so the caller never unwinds past `cursor` while a worker may
+  // still claim from it.
+  const auto claim = [&cursor, &body, count]() noexcept {
     for (std::size_t i = cursor.fetch_add(1); i < count;
          i = cursor.fetch_add(1)) {
       body(i);
     }
   };
-  const std::size_t workers = std::min(count, pool.num_threads());
-  for (std::size_t w = 0; w < workers; ++w) pool.submit(claim);
+  const std::size_t helpers = std::min(count, pool.num_threads()) - 1;
+  for (std::size_t w = 0; w < helpers; ++w) pool.submit(claim);
+  claim();
   pool.wait_idle();
 }
 

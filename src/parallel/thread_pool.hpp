@@ -61,16 +61,18 @@ class ThreadPool {
   obs::Histogram* obs_task_seconds_ = nullptr;
 };
 
-/// Runs `body(i)` once for every i in [0, count) on the pool and blocks
-/// until all calls have returned. Each of min(count, num_threads()) worker
-/// tasks claims the next unclaimed index from one shared cursor, so
-/// indices start in ascending order and a worker that finishes early takes
-/// more: a caller that puts its longest items first gets
-/// longest-processing-time-first list scheduling. Which worker runs an
-/// index, and when, is unspecified, so `body` must be safe to run
-/// concurrently on distinct indices and results must not depend on the
-/// order; writing each result to its own slot does that. `body` must not
-/// throw (see submit()).
+/// Runs `body(i)` once for every i in [0, count) and blocks until all
+/// calls have returned. min(count, num_threads()) threads run `body`: the
+/// calling thread and min(count, num_threads()) - 1 worker tasks, so a
+/// one-thread pool runs every index on the caller. Each claims the next
+/// unclaimed index from one shared cursor, so indices start in ascending
+/// order and a thread that finishes early takes more: a caller that puts
+/// its longest items first gets longest-processing-time-first list
+/// scheduling. Which thread runs an index, and when, is unspecified, so
+/// `body` must be safe to run concurrently on distinct indices and results
+/// must not depend on the order; writing each result to its own slot does
+/// that. `body` must not throw: an exception that leaves it calls
+/// std::terminate, on the caller as on a worker (see submit()).
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body);
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "centralized/exact_bnb.hpp"
 #include "check/shrink.hpp"
@@ -10,6 +12,7 @@
 #include "core/lower_bounds.hpp"
 #include "dist/convergence.hpp"
 #include "pairwise/basic_greedy.hpp"
+#include "pairwise/greedy_pair_balance.hpp"
 #include "pairwise/pair_kernel.hpp"
 
 namespace dlb::check {
@@ -42,6 +45,60 @@ TEST(ScheduleStateOracle, RejectsAnIncompletePartition) {
   check_schedule_state(schedule, report);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.failures().front().oracle, "state.partition");
+}
+
+TEST(ScheduleStateOracle, ChecksTheOrderOfFlaggedRowsOnly) {
+  // Machine 0 is in cluster 0, machine 1 in cluster 1. Each row is
+  // rewritten whole, flagged or not, in its cluster's ratio order or in
+  // the reverse; only a flagged row out of order fails. The flags have a
+  // reader, and are checked, once the instance's ratio rank is built.
+  const Instance inst = gen::two_cluster_uniform(1, 1, 40, 1.0, 10.0, 3);
+  ASSERT_NE(inst.ratio_rank(RatioRank::sort_work(inst.num_jobs())), nullptr);
+  Schedule schedule(inst, gen::random_assignment(inst, 4));
+  for (const bool flagged : {false, true}) {
+    for (const bool reversed : {false, true}) {
+      std::vector<JobId> rows[2];
+      for (const MachineId i : {0u, 1u}) {
+        const LoadTable::JobList row = schedule.jobs_on(i);
+        rows[i].assign(row.begin(), row.end());
+        pairwise::sort_by_group_ratio(inst, inst.group_of(i),
+                                      inst.group_of(1 - i), rows[i]);
+        if (reversed && i == 1) std::reverse(rows[i].begin(), rows[i].end());
+      }
+      schedule.write_split(0, rows[0], 1, rows[1], flagged);
+      Report report;
+      check_schedule_state(schedule, report);
+      if (flagged && reversed) {
+        ASSERT_EQ(report.failures().size(), 1u) << report.to_string();
+        EXPECT_EQ(report.failures().front().oracle, "state.row_order");
+        EXPECT_NE(report.failures().front().detail.find("machine 1"),
+                  std::string::npos);
+      } else {
+        EXPECT_TRUE(report.ok()) << report.to_string();
+      }
+    }
+  }
+}
+
+TEST(ScheduleStateOracle, LeavesFlagsAloneWhereTheRankIsRefused) {
+  // Every job costs `ratio` times more on cluster 1, so all cross products
+  // tie up to rounding: the rank refuses the instance, the comparator is
+  // no order, and a flag here has no reader.
+  const Instance inst =
+      gen::two_cluster_extreme_ratio(1, 1, 40, 1.0, 100.0, 37.0, 1.0, 3);
+  ASSERT_EQ(inst.ratio_rank(RatioRank::sort_work(inst.num_jobs())), nullptr);
+  Schedule schedule(inst, gen::random_assignment(inst, 4));
+  std::vector<JobId> rows[2];
+  for (const MachineId i : {0u, 1u}) {
+    const LoadTable::JobList row = schedule.jobs_on(i);
+    rows[i].assign(row.begin(), row.end());
+    pairwise::sort_by_group_ratio(inst, 0, 1, rows[i]);
+    std::reverse(rows[i].begin(), rows[i].end());
+  }
+  schedule.write_split(0, rows[0], 1, rows[1], true);
+  Report report;
+  check_schedule_state(schedule, report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(IoRoundtripOracle, AcceptsEveryRegimeIncludingDegenerates) {

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -275,10 +276,15 @@ TEST(LoadTableRows, RowsGrowThroughEveryCapacityEdge) {
 // ----- Schedule level: the operations the engines call -----
 
 struct ScheduleReference {
-  ScheduleReference(const Instance& inst, const Assignment& initial)
+  /// With `surrogate`, decision loads replay its costs, rebuilt in
+  /// ascending job id as Schedule::set_decision_instance does.
+  ScheduleReference(const Instance& inst, const Assignment& initial,
+                    const Instance* surrogate = nullptr)
       : instance(&inst),
+        decision(surrogate),
         rows(inst.num_machines()),
         loads(inst.num_machines(), 0.0),
+        decision_loads(surrogate ? inst.num_machines() : 0, 0.0),
         arrivals(inst.num_machines(), 0),
         in_order(inst.num_machines(), 0),
         machine_of(initial.raw()) {
@@ -287,10 +293,12 @@ struct ScheduleReference {
       if (i == kUnassigned) continue;
       rows[i].insert(j);
       loads[i] += inst.cost(i, j);
+      if (decision) decision_loads[i] += decision->cost(i, j);
     }
   }
 
-  /// Schedule::move's sequence: debit the old machine, credit the new.
+  /// Schedule::move's sequence: debit the old machine, credit the new, in
+  /// real and decision loads.
   bool move(JobId j, MachineId to) {
     const MachineId from = machine_of[j];
     if (from == to) return false;
@@ -302,6 +310,10 @@ struct ScheduleReference {
     }
     rows[to].insert(j);
     loads[to] += instance->cost(to, j);
+    if (decision) {
+      if (from != kUnassigned) decision_loads[from] -= decision->cost(from, j);
+      decision_loads[to] += decision->cost(to, j);
+    }
     machine_of[j] = to;
     in_order[to] = 0;
     return true;
@@ -311,8 +323,13 @@ struct ScheduleReference {
     if (from == kUnassigned) return;
     rows[from].erase(j);
     loads[from] -= instance->cost(from, j);
+    if (decision) decision_loads[from] -= decision->cost(from, j);
     machine_of[j] = kUnassigned;
     in_order[from] = 0;
+  }
+  /// What Schedule::decision_load(i) must read.
+  [[nodiscard]] Cost decision_load(MachineId i) const {
+    return decision ? decision_loads[i] : loads[i];
   }
   /// Schedule::write_split: move_split's sequence, then both flags.
   bool write_split(MachineId a, std::span<const JobId> to_a, MachineId b,
@@ -325,8 +342,10 @@ struct ScheduleReference {
   }
 
   const Instance* instance;
+  const Instance* decision;
   std::vector<std::set<JobId>> rows;
   std::vector<Cost> loads;
+  std::vector<Cost> decision_loads;
   std::vector<std::uint64_t> arrivals;
   std::vector<char> in_order;
   std::vector<MachineId> machine_of;
@@ -340,6 +359,8 @@ void expect_schedule_matches(const Schedule& s, const ScheduleReference& ref,
     ASSERT_EQ(std::set<JobId>(row.begin(), row.end()), ref.rows[i])
         << where << ", machine " << i;
     EXPECT_EQ(bits(s.load(i)), bits(ref.loads[i]))
+        << where << ", machine " << i;
+    EXPECT_EQ(bits(s.decision_load(i)), bits(ref.decision_load(i)))
         << where << ", machine " << i;
     EXPECT_EQ(s.arrivals(i), ref.arrivals[i]) << where;
     EXPECT_EQ(s.row_in_order(i), ref.in_order[i] != 0)
@@ -440,13 +461,16 @@ void random_schedule_op(Schedule& s, ScheduleReference& ref,
   }
 }
 
-TEST(LoadTableRows, RandomScheduleOpsMatchTheReferenceThroughCopies) {
-  const Instance inst = gen::uniform_unrelated(6, 240, 1.0, 50.0, 17);
+/// Random schedule operations, whole-row writes among them, against the
+/// per-job replay; with a surrogate attached, its decision loads too.
+void expect_random_schedule_ops_match(
+    const Instance& inst, const std::shared_ptr<const Instance>& surrogate) {
   for (const std::uint64_t seed : {5u, 6u, 7u}) {
     stats::Rng rng(seed);
     const Assignment initial = gen::random_assignment(inst, seed);
     Schedule s(inst, initial);
-    ScheduleReference ref(inst, initial);
+    s.set_decision_instance(surrogate);
+    ScheduleReference ref(inst, initial, surrogate.get());
     const std::string where = "seed " + std::to_string(seed);
     for (int step = 1; step <= 1500; ++step) {
       random_schedule_op(s, ref, rng);
@@ -475,6 +499,21 @@ TEST(LoadTableRows, RandomScheduleOpsMatchTheReferenceThroughCopies) {
       }
     }
   }
+}
+
+TEST(LoadTableRows, RandomScheduleOpsMatchTheReferenceThroughCopies) {
+  const Instance inst = gen::uniform_unrelated(6, 240, 1.0, 50.0, 17);
+  expect_random_schedule_ops_match(inst, nullptr);
+}
+
+TEST(LoadTableRows, WholeRowWritesKeepDecisionLoadBits) {
+  // The surrogate prices every job differently from the real instance, so
+  // a split billed with the wrong costs, or in another order, shows in the
+  // decision loads' bits.
+  const Instance inst = gen::uniform_unrelated(6, 240, 1.0, 50.0, 17);
+  const auto surrogate = std::make_shared<const Instance>(
+      gen::uniform_unrelated(6, 240, 0.5, 80.0, 18));
+  expect_random_schedule_ops_match(inst, surrogate);
 }
 
 /// Every job starts on one of the first 4 of 64 machines, so 60 rows have

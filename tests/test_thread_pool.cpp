@@ -101,6 +101,45 @@ TEST(ParallelFor, FewerIndicesThanThreads) {
   }
 }
 
+TEST(ParallelFor, TheCallerClaimsIndicesNextToTheWorkers) {
+  obs::Metrics metrics;
+  const obs::Context context{&metrics, nullptr};
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    pool.attach_obs(&context);
+    const std::uint64_t tasks_before = metrics.counter("pool.tasks").value();
+    constexpr std::size_t kCount = 300;
+    constexpr int kCalls = 5;
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int call = 0; call < kCalls; ++call) {
+      std::vector<std::atomic<int>> hits(kCount);
+      std::vector<std::thread::id> runner(kCount);
+      parallel_for(pool, kCount, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        runner[i] = std::this_thread::get_id();
+        volatile double sink = 0.0;
+        for (int k = 0; k < 2000; ++k) sink = sink + 1.0;
+      });
+      for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << threads << " threads, index " << i;
+      }
+      std::vector<std::thread::id> distinct = runner;
+      std::sort(distinct.begin(), distinct.end());
+      distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                     distinct.end());
+      EXPECT_LE(distinct.size(), threads) << threads << " threads";
+      if (threads == 1) {
+        EXPECT_EQ(distinct, std::vector<std::thread::id>{caller});
+      }
+    }
+    // One task per worker besides the caller, every call.
+    EXPECT_EQ(metrics.counter("pool.tasks").value() - tasks_before,
+              static_cast<std::uint64_t>(kCalls) * (threads - 1))
+        << threads << " threads";
+    pool.attach_obs(nullptr);
+  }
+}
+
 TEST(MonteCarlo, SequentialAndPooledResultsMatch) {
   const std::function<double(std::size_t, stats::Rng&)> body =
       [](std::size_t rep, stats::Rng& rng) {
