@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -293,6 +297,46 @@ TEST(Metrics, HistogramCountsInfinityInTheTopBucket) {
   for (const double low : {std::numeric_limits<double>::quiet_NaN(), 0.0,
                            -1.0, -std::numeric_limits<double>::infinity()}) {
     EXPECT_EQ(Histogram::bucket_index(low), 0) << low;
+  }
+}
+
+/// The bucket rule as frexp states it: the reference bucket_index must
+/// match for every double.
+int frexp_bucket(double v) {
+  if (!(v > 0.0)) return 0;
+  if (std::isinf(v)) return Histogram::kNumBuckets - 1;
+  int exp = 0;
+  (void)std::frexp(v, &exp);
+  return std::clamp(exp - Histogram::kMinExp, 0, Histogram::kNumBuckets - 1);
+}
+
+TEST(Metrics, HistogramBucketIndexIsTheFrexpRule) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> edges = {
+      0.0, -0.0, -1.0, -DBL_MIN, -DBL_MAX, -kInf, kInf,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::signaling_NaN(),
+      std::numeric_limits<double>::denorm_min(), DBL_MIN / 2.0,
+      std::nextafter(DBL_MIN, 0.0), DBL_MIN, DBL_MAX, 1.0, 0.5, 3.0};
+  // Each bucket's lower edge 2^(k - 1 + kMinExp) and one ulp either side,
+  // from below bucket 0 to past the last one.
+  for (int k = -2; k <= Histogram::kNumBuckets + 1; ++k) {
+    const double edge = std::ldexp(1.0, k - 1 + Histogram::kMinExp);
+    edges.push_back(edge);
+    edges.push_back(std::nextafter(edge, 0.0));
+    edges.push_back(std::nextafter(edge, kInf));
+  }
+  for (const double v : edges) {
+    EXPECT_EQ(Histogram::bucket_index(v), frexp_bucket(v))
+        << std::hexfloat << v;
+  }
+  // One million random bit patterns: every exponent, sign and NaN payload.
+  stats::Rng rng(0xB0C4E7);
+  for (int k = 0; k < 1'000'000; ++k) {
+    const double v = std::bit_cast<double>(rng());
+    ASSERT_EQ(Histogram::bucket_index(v), frexp_bucket(v))
+        << std::hexfloat << v;
   }
 }
 

@@ -28,6 +28,7 @@
 
 #include "centralized/two_choices.hpp"
 #include "check/case_gen.hpp"
+#include "core/cost_model.hpp"
 #include "core/generators.hpp"
 #include "core/instance_store.hpp"
 #include "golden_digest.hpp"
@@ -299,14 +300,14 @@ OpenSystemOptions open_options(const ArrivalPlan& plan) {
 }
 
 Outcome run_open(const Instance& instance, OpenSystemOptions options,
-                 std::uint64_t seed) {
+                 std::uint64_t seed, const char* kernel = "basic-greedy") {
   obs::Metrics metrics;
   obs::Tracer tracer;
   const obs::Context context{&metrics, &tracer};
   options.obs = &context;
   const UniformPeerSelector selector;
-  const OpenSystemEngine engine(
-      pairwise::kernel_registry().get("basic-greedy"), selector);
+  const OpenSystemEngine engine(pairwise::kernel_registry().get(kernel),
+                                selector);
   Schedule schedule(instance);
   const OpenRunReport report = engine.run(schedule, options, seed);
   return {report.to_json().dump(), schedule.fingerprint(),
@@ -666,6 +667,151 @@ TEST(OpenSystemEngine, HaltResumeInsideTheLastLookaheadArrivals) {
         << "halted at event " << halt_at;
   }
   EXPECT_GE(resumed_inside, kLookahead);
+}
+
+// ----- golden digests of the repair bursts -----
+
+// Each case folds the uninterrupted run (digest_of) and the checkpoint
+// bytes of a halt at half its events into one constant. The pins were taken
+// when every burst was a whole ExchangeEngine run with max_exchanges set to
+// the budget, so they hold the bursts to exactly its draws and kernel calls.
+std::uint64_t golden_of(const Instance& instance,
+                        const OpenSystemOptions& options, const char* kernel) {
+  const UniformPeerSelector selector;
+  const OpenSystemEngine engine(pairwise::kernel_registry().get(kernel),
+                                selector);
+  Schedule probe(instance);
+  const std::uint64_t events = engine.run(probe, options, kSeed).events;
+  OpenCheckpoint checkpoint;
+  OpenSystemOptions halt_options = options;
+  halt_options.halt_after_events = events / 2;
+  halt_options.checkpoint_out = &checkpoint;
+  Schedule halted(instance);
+  EXPECT_TRUE(engine.run(halted, halt_options, kSeed).halted);
+  std::stringstream bytes;
+  checkpoint.save(bytes);
+  golden::Digest digest;
+  digest.add(digest_of(run_open(instance, options, kSeed, kernel)));
+  digest.add(bytes.str());
+  return digest.value();
+}
+
+Instance golden_instance() {
+  return gen::two_cluster_uniform(4, 3, 150, 1.0, 100.0, 5);
+}
+
+TEST(OpenSystemGolden, RiskAwareKernelPreparesItsSurrogateEveryBurst) {
+  // The q95 wrapper re-attaches its surrogate in prepare(), which clears
+  // the row flags and rebuilds the decision loads before each burst.
+  Instance instance = golden_instance();
+  instance.set_cost_model(cost::CostModel(std::vector<cost::Dist>(
+      instance.num_jobs(), cost::parse_dist("lognormal:0.5"))));
+  const ArrivalPlan plan = ArrivalPlan::poisson(0.1, 3);
+  const auto two_choices = make_placement("two_choices:2");
+  OpenSystemOptions options = open_options(plan);
+  options.placement = two_choices.get();
+  options.realize_service = true;
+  const std::uint64_t digest = golden_of(instance, options, "dlb2c_q95");
+  EXPECT_EQ(digest, 0x946251425F6D503DULL) << "digest 0x" << std::hex << digest;
+}
+
+TEST(OpenSystemGolden, BudgetAboveTheMachineCountRunsSeveralEpochs) {
+  // 13 exchanges on 7 machines: each burst shuffles the round twice and
+  // stops inside the second epoch.
+  const Instance instance = golden_instance();
+  const ArrivalPlan plan = ArrivalPlan::poisson(0.1, 4);
+  OpenSystemOptions options = open_options(plan);
+  options.repair_budget = 13;
+  ASSERT_GT(options.repair_budget, instance.num_machines());
+  const UniformPeerSelector selector;
+  const OpenSystemEngine engine(pairwise::kernel_registry().get("dlb2c"),
+                                selector);
+  Schedule schedule(instance);
+  const OpenRunReport report = engine.run(schedule, options, kSeed);
+  ASSERT_GT(report.repair_bursts, 0u);
+  EXPECT_EQ(report.exchanges, report.repair_bursts * options.repair_budget);
+  const std::uint64_t digest = golden_of(instance, options, "dlb2c");
+  EXPECT_EQ(digest, 0x24700C88C406A870ULL) << "digest 0x" << std::hex << digest;
+}
+
+TEST(OpenSystemGolden, BudgetOfOneExchangePerBurst) {
+  const Instance instance = golden_instance();
+  const ArrivalPlan plan = ArrivalPlan::poisson(0.1, 5);
+  OpenSystemOptions options = open_options(plan);
+  options.repair_budget = 1;
+  const std::uint64_t digest = golden_of(instance, options, "dlb2c");
+  EXPECT_EQ(digest, 0x8E2906E274B0DC59ULL) << "digest 0x" << std::hex << digest;
+}
+
+TEST(OpenSystemGolden, HaltAndResumeAtABurstEvent) {
+  const Instance instance = golden_instance();
+  const ArrivalPlan plan = ArrivalPlan::poisson(0.1, 6);
+  const OpenSystemOptions options = open_options(plan);
+  const Outcome uninterrupted = run_open(instance, options, kSeed, "dlb2c");
+  const UniformPeerSelector selector;
+  const OpenSystemEngine engine(pairwise::kernel_registry().get("dlb2c"),
+                                selector);
+  Schedule probe(instance);
+  const std::uint64_t events = engine.run(probe, options, kSeed).events;
+
+  // The first event from the middle on that is a burst: halting after it
+  // counts one burst more than halting before it.
+  const auto halt = [&](std::uint64_t at, OpenCheckpoint& checkpoint) {
+    OpenSystemOptions halt_options = options;
+    halt_options.halt_after_events = at;
+    halt_options.checkpoint_out = &checkpoint;
+    Schedule halted(instance);
+    EXPECT_TRUE(engine.run(halted, halt_options, kSeed).halted);
+  };
+  OpenCheckpoint checkpoint;
+  std::uint64_t halt_at = events / 2;
+  for (OpenCheckpoint before;; ++halt_at) {
+    ASSERT_LT(halt_at, events);
+    halt(halt_at - 1, before);
+    halt(halt_at, checkpoint);
+    if (checkpoint.bursts == before.bursts + 1) break;
+  }
+  std::stringstream bytes;
+  checkpoint.save(bytes);
+  const OpenCheckpoint restored = OpenCheckpoint::load(bytes);
+  obs::Metrics metrics;
+  obs::Tracer tracer;
+  const obs::Context context{&metrics, &tracer};
+  OpenSystemOptions resume_options = options;
+  resume_options.resume = &restored;
+  resume_options.obs = &context;
+  Schedule resumed = restored.make_schedule(instance);
+  const OpenRunReport finished = engine.run(resumed, resume_options, kSeed);
+  EXPECT_EQ(finished.to_json().dump(), uninterrupted.report_json);
+  EXPECT_EQ(resumed.fingerprint(), uninterrupted.fingerprint);
+
+  golden::Digest digest;
+  digest.add(halt_at);
+  digest.add(bytes.str());
+  digest.add(finished.to_json().dump());
+  digest.add(resumed.fingerprint());
+  digest.add(metrics.snapshot().dump());
+  for (const TracePoint& point : finished.trace) digest.add(point.makespan);
+  for (const obs::TraceEvent& event : tracer.events()) {
+    digest.add(event.ts_us);
+    digest.add(event.name);
+  }
+  EXPECT_EQ(digest.value(), 0x8010F81E94F7691CULL)
+      << "digest 0x" << std::hex << digest.value();
+}
+
+TEST(OpenSystemGolden, ParallelRepairAtOneAndThreeThreads) {
+  const Instance instance = golden_instance();
+  const ArrivalPlan plan = ArrivalPlan::poisson(0.1, 7);
+  OpenSystemOptions options = open_options(plan);
+  options.parallel_repair = true;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    parallel::ThreadPool pool(threads);
+    options.pool = &pool;
+    const std::uint64_t digest = golden_of(instance, options, "dlb2c");
+    EXPECT_EQ(digest, 0x17A74118D487F59FULL)
+        << threads << " threads: digest 0x" << std::hex << digest;
+  }
 }
 
 // ----- Section IV: background repair absorbs the arrivals -----

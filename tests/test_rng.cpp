@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <vector>
+
+#include "golden_digest.hpp"
 
 namespace dlb::stats {
 namespace {
@@ -160,6 +163,48 @@ TEST(Rng, Splitmix64KnownValues) {
   std::uint64_t state = 0;
   const std::uint64_t first = splitmix64(state);
   EXPECT_EQ(first, 0xE220A8397B1DCDAFULL);
+}
+
+// The bounded and exponential draws keep their values, pinned as digests
+// of whole sequences. 2^63 + 1 and 2^64 - 1 reject about half and a
+// quarter of the raw words in Lemire's loop; the generator then runs ahead
+// of one word per draw, which the state comparison proves happened.
+TEST(Rng, BelowSequencesKeepTheirDigest) {
+  Rng rng(20261022);
+  golden::Digest digest;
+  for (const std::uint64_t bound :
+       {1ULL, 2ULL, 3ULL, 7ULL, 17ULL, 1000ULL, (1ULL << 32) + 1,
+        0xAAAAAAAAAAAAAAABULL, (1ULL << 63) + 1, ~0ULL}) {
+    for (int k = 0; k < 1000; ++k) {
+      const std::uint64_t x = rng.below(bound);
+      ASSERT_LT(x, bound);
+      digest.add(x);
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x79DC4E5238867899ULL)
+      << "digest 0x" << std::hex << digest.value();
+
+  Rng rejecting(7);
+  Rng one_word_each(7);
+  for (int k = 0; k < 64; ++k) {
+    (void)rejecting.below((1ULL << 63) + 1);
+    (void)one_word_each();
+  }
+  EXPECT_NE(rejecting.state(), one_word_each.state());
+}
+
+TEST(Rng, ExponentialSequencesKeepTheirDigest) {
+  Rng rng(20261023);
+  golden::Digest digest;
+  for (const double lambda : {1.0, 0.5, 3.75, 1e-3, 1e6, 0x1p-40}) {
+    for (int k = 0; k < 1000; ++k) {
+      const double x = rng.exponential(lambda);
+      ASSERT_GE(x, 0.0);
+      digest.add(x);
+    }
+  }
+  EXPECT_EQ(digest.value(), 0xB014C77EE9790593ULL)
+      << "digest 0x" << std::hex << digest.value();
 }
 
 class RngSweep : public ::testing::TestWithParam<std::uint64_t> {};
