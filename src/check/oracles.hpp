@@ -68,13 +68,19 @@ class Report {
 
 // ----- structural state oracles -----
 
-/// The schedule is a complete partition of all jobs, its incremental
-/// LoadTable (loads, per-machine job lists, cached makespan) matches a
-/// from-scratch recomputation, and, once a two-cluster decision
-/// instance's ratio rank is built, every row flagged in order
-/// (Schedule::row_in_order) ascends in its cluster's ratio order
+/// Whether every job must sit on a machine. Open-system and churn schedules
+/// hold some elsewhere: in service, not yet arrived, or waiting for
+/// redispatch.
+enum class JobsPlaced { kAll, kSome };
+
+/// The schedule is a complete partition of all jobs (only under
+/// JobsPlaced::kAll), its incremental LoadTable (loads, per-machine job
+/// lists, cached makespan) matches a from-scratch recomputation, and, once
+/// a two-cluster decision instance's ratio rank is built, every row flagged
+/// in order (Schedule::row_in_order) ascends in its cluster's ratio order
 /// (state.row_order, O(n)).
-void check_schedule_state(const Schedule& schedule, Report& report);
+void check_schedule_state(const Schedule& schedule, Report& report,
+                          JobsPlaced placed = JobsPlaced::kAll);
 
 /// Round-trips the instance (and a matching assignment) through the
 /// instance_io text format and demands exact equality of every field.

@@ -126,7 +126,8 @@ void check_engine(const Instance& instance, const Assignment& initial,
 /// through crash + redispatch, and proves the checkpoint contract by
 /// halting the sequential run mid-flight, round-tripping the checkpoint
 /// through its text format, resuming, and demanding the finished run be
-/// bitwise identical to one that never stopped.
+/// bitwise identical to one that never stopped. The halted and the resumed
+/// schedule both pass the state oracle, orphans and all.
 void check_churn(const Instance& instance, const Assignment& initial,
                  const CaseContext& context, Report& report,
                  SuiteSummary* summary) {
@@ -164,6 +165,7 @@ void check_churn(const Instance& instance, const Assignment& initial,
         stats::Rng::stream(context.seed, context.index * 8 + 2);
     const dist::RunResult partial =
         engine.run(halted, halt_options, halted_rng);
+    check_schedule_state(halted, report, JobsPlaced::kSome);
     if (partial.halted) {
       std::stringstream bytes;
       checkpoint.save(bytes);
@@ -175,6 +177,7 @@ void check_churn(const Instance& instance, const Assignment& initial,
           stats::Rng::stream(context.seed, context.index * 8 + 2);
       const dist::RunResult finished =
           engine.run(resumed, resume_options, resume_rng);
+      check_schedule_state(resumed, report, JobsPlaced::kSome);
       if (resumed.fingerprint() != schedule.fingerprint() ||
           finished.to_json().dump() != result.to_json().dump()) {
         report.fail("churn.checkpoint_equivalence",
@@ -200,7 +203,8 @@ void check_churn(const Instance& instance, const Assignment& initial,
 /// conservation and response sanity; then pin the determinism contract by
 /// demanding (a) the parallel-repair run reproduce the sequential-repair
 /// report byte for byte, and (b) a halt / checkpoint-roundtrip / resume
-/// split reproduce the uninterrupted run byte for byte.
+/// split reproduce the uninterrupted run byte for byte. The schedule halted
+/// mid-run passes the state oracle.
 void check_open_system(const Instance& instance, const CaseContext& context,
                        Report& report, SuiteSummary* summary) {
   if (context.arrivals == nullptr || context.arrivals->trivial()) return;
@@ -269,6 +273,8 @@ void check_open_system(const Instance& instance, const CaseContext& context,
     Schedule halted(instance);
     const dist::OpenRunReport partial =
         engine.run(halted, halt_options, open_seed);
+    // Mid-run, rows the repair kernels wrote still hold waiting jobs.
+    check_schedule_state(halted, report, JobsPlaced::kSome);
     if (partial.halted) {
       std::stringstream bytes;
       checkpoint.save(bytes);

@@ -1,5 +1,6 @@
 #include "dist/exchange_engine.hpp"
 
+#include <numeric>
 #include <optional>
 #include <span>
 #include <vector>
@@ -78,16 +79,12 @@ class SequentialPlanner {
     if (pos_ == round_.size()) return std::nullopt;
     Schedule& schedule = run_.schedule;
     const MachineId initiator = round_[pos_++];
-    // Peer selection runs over the compacted live machine set (the
-    // identity with the whole cluster live), after the previous exchange:
-    // load-aware selectors read the current schedule.
-    const std::vector<MachineId>& live = run_.churn.live_machines();
-    const MachineId peer = live[selector_.select_on(
-        static_cast<MachineId>(run_.churn.live_index(initiator)),
-        std::span<const MachineId>(live), schedule, rng_)];
-
     const std::uint64_t migrations_pre = schedule.migrations();
-    const bool changed = run_.kernel.balance(schedule, initiator, peer);
+    // Peer selection runs over the compacted live machine set (the
+    // identity with the whole cluster live).
+    const auto [peer, changed] = exchange_with_peer(
+        run_.kernel, selector_, schedule, run_.churn.live_machines(),
+        initiator, run_.churn.live_index(initiator), rng_);
     ++result_.exchanges;
     if (changed) ++result_.changed_exchanges;
     const Cost cmax = schedule.makespan();
@@ -131,6 +128,51 @@ class SequentialPlanner {
 };
 
 }  // namespace
+
+ExchangeOutcome exchange_with_peer(const pairwise::PairKernel& kernel,
+                                   const PeerSelector& selector,
+                                   Schedule& schedule,
+                                   std::span<const MachineId> live,
+                                   MachineId initiator,
+                                   std::size_t initiator_index,
+                                   stats::Rng& rng) {
+  const MachineId peer = live[selector.select_on(
+      static_cast<MachineId>(initiator_index), live, schedule, rng)];
+  return {.peer = peer, .changed = kernel.balance(schedule, initiator, peer)};
+}
+
+SequentialRepair::SequentialRepair(const pairwise::PairKernel& kernel,
+                                   const PeerSelector& selector,
+                                   std::size_t num_machines)
+    : kernel_(&kernel), selector_(&selector), live_(num_machines) {
+  std::iota(live_.begin(), live_.end(), MachineId{0});
+  round_.reserve(num_machines);
+}
+
+SequentialRepair::Tally SequentialRepair::run(Schedule& schedule,
+                                              std::size_t budget,
+                                              stats::Rng& rng) {
+  Tally tally;
+  if (live_.empty()) return tally;
+  kernel_->prepare(schedule);
+  round_.assign(live_.begin(), live_.end());
+  // An epoch shuffles the round as the previous one left it; a budget
+  // above the machine count spans several epochs.
+  while (tally.exchanges < budget) {
+    stats::shuffle(round_.begin(), round_.end(), rng);
+    for (const MachineId initiator : round_) {
+      if (tally.exchanges == budget) break;
+      // Every machine is live, so a machine's live index is its id.
+      if (exchange_with_peer(*kernel_, *selector_, schedule, live_, initiator,
+                             initiator, rng)
+              .changed) {
+        ++tally.changed;
+      }
+      ++tally.exchanges;
+    }
+  }
+  return tally;
+}
 
 RunResult ExchangeEngine::run(Schedule& schedule, const EngineOptions& options,
                               stats::Rng& rng) const {

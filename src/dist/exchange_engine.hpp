@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -96,6 +97,52 @@ struct RunResult : EngineResult {
     return static_cast<double>(exchanges_to_threshold) /
            static_cast<double>(num_machines);
   }
+};
+
+/// One exchange of the sequential model (Algorithms 5 and 6): the initiator,
+/// at position `initiator_index` in `live`, draws its peer from `live` with
+/// the selector against the schedule as the earlier exchanges left it, and
+/// the kernel balances the pair. Both the closed engine's steps and
+/// SequentialRepair's bursts run through this.
+struct ExchangeOutcome {
+  MachineId peer = 0;
+  bool changed = false;  ///< The kernel moved a job.
+};
+ExchangeOutcome exchange_with_peer(const pairwise::PairKernel& kernel,
+                                   const PeerSelector& selector,
+                                   Schedule& schedule,
+                                   std::span<const MachineId> live,
+                                   MachineId initiator,
+                                   std::size_t initiator_index,
+                                   stats::Rng& rng);
+
+/// Budgeted sequential repair over a machine set that never changes: the
+/// same draws and kernel calls as ExchangeEngine::run with only
+/// max_exchanges set. Each run prepares the kernel, resets the round to
+/// ascending machine ids, shuffles it at every epoch and walks it until the
+/// budget is spent. It skips what such a run records and nobody reads when
+/// it is one burst of a longer run: the checkpoint, churn and stop
+/// bookkeeping, the per-step makespan and the risk report. The round and
+/// live list are built once, so one runner serves every burst.
+class SequentialRepair {
+ public:
+  /// Kernel and selector must outlive the runner.
+  SequentialRepair(const pairwise::PairKernel& kernel,
+                   const PeerSelector& selector, std::size_t num_machines);
+
+  struct Tally {
+    std::uint64_t exchanges = 0;
+    std::uint64_t changed = 0;  ///< Exchanges that moved a job.
+  };
+  /// Runs `budget` exchanges on `schedule`, which must have the machine
+  /// count the runner was built for.
+  Tally run(Schedule& schedule, std::size_t budget, stats::Rng& rng);
+
+ private:
+  const pairwise::PairKernel* kernel_;
+  const PeerSelector* selector_;
+  std::vector<MachineId> live_;   ///< 0..m-1: every machine is live.
+  std::vector<MachineId> round_;  ///< Initiator order of the current epoch.
 };
 
 class ExchangeEngine {

@@ -55,36 +55,6 @@ std::uint64_t sub_seed(std::uint64_t seed, std::uint64_t domain) noexcept {
   return stats::splitmix64(sm);
 }
 
-/// The engine's placement view: every machine is a target, and the work a
-/// policy compares is the committed horizon — waiting load plus the
-/// remaining service of the job currently on the machine.
-class EngineView final : public PlacementView {
- public:
-  EngineView(const Schedule& schedule, const OpenRunState& state)
-      : schedule_(&schedule), state_(&state) {}
-
-  [[nodiscard]] std::size_t num_targets() const override {
-    return schedule_->num_machines();
-  }
-  [[nodiscard]] MachineId target(std::size_t k) const override {
-    return static_cast<MachineId>(k);
-  }
-  [[nodiscard]] Cost work(MachineId i) const override {
-    Cost work = schedule_->load(i);
-    if (state_->in_service[i] != kNoJob) {
-      work += state_->busy_until[i] - state_->now;
-    }
-    return work;
-  }
-  [[nodiscard]] Cost cost(MachineId i, JobId j) const override {
-    return schedule_->instance().cost(i, j);
-  }
-
- private:
-  const Schedule* schedule_;
-  const OpenRunState* state_;
-};
-
 }  // namespace
 
 stats::Json OpenRunReport::to_json() const {
@@ -298,7 +268,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   obs::Tracer* tracer = obs::tracer_of(options.obs);
   obs::FlightRecorder* flight = obs::flight_of(options.obs);
 
-  const EngineView view(schedule, state);
+  const PlacementView view(schedule, state);
 
   // Completion queue: one (busy_until, machine) entry per in-service
   // machine, earliest on top. Only start_next fills a slot and only a
@@ -364,6 +334,11 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   const std::size_t cost_groups =
       instance.num_groups() <= 2 ? instance.num_groups() : 0;
 
+  // Sequential repair keeps one runner for every burst of the run; each
+  // burst makes the draws and kernel calls of an ExchangeEngine run with
+  // max_exchanges = repair_budget.
+  SequentialRepair sequential_repair(*kernel_, *selector_, m);
+
   const auto run_burst = [&]() {
     const std::uint64_t migrations_pre = schedule.migrations();
     if (options.parallel_repair) {
@@ -380,19 +355,20 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
       state.repair_exchanges += result.exchanges;
       state.repair_changed += result.changed_exchanges;
     } else {
-      EngineOptions inner;
-      inner.max_exchanges = options.repair_budget;
-      const RunResult result =
-          ExchangeEngine(*kernel_, *selector_).run(schedule, inner,
-                                                   repair_rng);
-      state.repair_exchanges += result.exchanges;
-      state.repair_changed += result.changed_exchanges;
+      const SequentialRepair::Tally tally =
+          sequential_repair.run(schedule, options.repair_budget, repair_rng);
+      state.repair_exchanges += tally.exchanges;
+      state.repair_changed += tally.changed;
     }
     state.repair_migrations += schedule.migrations() - migrations_pre;
     // Repair may have parked waiting jobs on idle machines; service is
     // work-conserving, so they start immediately (ascending machine id).
+    // start_next returns at once on an empty row, so only idle machines
+    // holding waiting jobs are visited.
     for (MachineId i = 0; i < m; ++i) {
-      if (state.in_service[i] == kNoJob) start_next(i);
+      if (state.in_service[i] == kNoJob && !schedule.jobs_on(i).empty()) {
+        start_next(i);
+      }
     }
     if (options.record_trace) {
       report.trace.push_back({.makespan = schedule.makespan()});

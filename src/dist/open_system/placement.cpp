@@ -6,7 +6,7 @@ namespace dlb::dist {
 
 MachineId RandomPlacement::place(const PlacementView& view, JobId /*job*/,
                                  stats::Rng& rng) const {
-  return view.target(rng.below(view.num_targets()));
+  return static_cast<MachineId>(rng.below(view.num_machines()));
 }
 
 TwoChoicesPlacement::TwoChoicesPlacement(std::size_t d) : d_(d) {
@@ -23,10 +23,10 @@ MachineId TwoChoicesPlacement::place(const PlacementView& view, JobId job,
                                      stats::Rng& rng) const {
   // Mirrors centralized::two_choices_schedule: the first probe is kept on
   // ties (strict < below), and exactly d draws are consumed per job.
-  MachineId best = view.target(rng.below(view.num_targets()));
+  auto best = static_cast<MachineId>(rng.below(view.num_machines()));
   Cost best_completion = view.work(best) + view.cost(best, job);
   for (std::size_t probe = 1; probe < d_; ++probe) {
-    const MachineId i = view.target(rng.below(view.num_targets()));
+    const auto i = static_cast<MachineId>(rng.below(view.num_machines()));
     const Cost completion = view.work(i) + view.cost(i, job);
     if (completion < best_completion) {
       best_completion = completion;
@@ -38,10 +38,9 @@ MachineId TwoChoicesPlacement::place(const PlacementView& view, JobId job,
 
 MachineId EctPlacement::place(const PlacementView& view, JobId job,
                               stats::Rng& /*rng*/) const {
-  MachineId best = view.target(0);
+  MachineId best = 0;
   Cost best_completion = view.work(best) + view.cost(best, job);
-  for (std::size_t k = 1; k < view.num_targets(); ++k) {
-    const MachineId i = view.target(k);
+  for (MachineId i = 1; i < view.num_machines(); ++i) {
     const Cost completion = view.work(i) + view.cost(i, job);
     if (completion < best_completion) {
       best_completion = completion;

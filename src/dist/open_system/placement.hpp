@@ -5,38 +5,62 @@
 // are pluggable through a NameRegistry (PR 4 pattern), so the CLI, bench
 // sweeps, and dlb_check resolve them by name:
 //
-//   random         uniform over the placement targets ([2]'s baseline)
-//   two_choices:d  power of d choices — probe d uniform targets, keep the
+//   random         uniform over the machines ([2]'s baseline)
+//   two_choices:d  power of d choices — probe d uniform machines, keep the
 //                  one with the least work + cost ([2]-[4]; draw-for-draw
 //                  compatible with centralized::two_choices_schedule)
 //   ect            deterministic earliest-completion-time argmin
 //
-// A PlacementView decouples the policies from the engine: it exposes the
-// current target set and per-machine work so the same policy code places
-// into a live queueing system or a plain batch Schedule.
+// Policies read the run through one concrete PlacementView: every machine
+// is a target, and a machine's work is its waiting load plus the remaining
+// service of the job it is serving. Over a plain batch Schedule (nothing in
+// service) the work is the load.
 
 #include <cstddef>
 #include <memory>
 #include <string>
 
 #include "core/name_registry.hpp"
+#include "core/schedule.hpp"
 #include "core/types.hpp"
+#include "dist/open_system/open_checkpoint.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb::dist {
 
-/// What a placement policy may observe at submission time.
+/// What a placement policy may observe at submission time. Holds pointers:
+/// the schedule and the run state must outlive the view, and the view reads
+/// them as they change.
 class PlacementView {
  public:
-  virtual ~PlacementView() = default;
-  /// Number of machines accepting jobs (> 0).
-  [[nodiscard]] virtual std::size_t num_targets() const = 0;
-  /// The k-th accepting machine, k in [0, num_targets()).
-  [[nodiscard]] virtual MachineId target(std::size_t k) const = 0;
+  /// The open engine's view: `state` says which job each machine serves
+  /// until when, and `state.now` is the submission time.
+  PlacementView(const Schedule& schedule, const OpenRunState& state) noexcept
+      : schedule_(&schedule), state_(&state) {}
+  /// A batch view: nothing is in service, so work(i) is the load.
+  explicit PlacementView(const Schedule& schedule) noexcept
+      : schedule_(&schedule) {}
+
+  /// Number of machines, all of them targets (> 0).
+  [[nodiscard]] std::size_t num_machines() const noexcept {
+    return schedule_->num_machines();
+  }
   /// Work already committed to machine i (queued + in service).
-  [[nodiscard]] virtual Cost work(MachineId i) const = 0;
+  [[nodiscard]] Cost work(MachineId i) const noexcept {
+    Cost work = schedule_->load(i);
+    if (state_ != nullptr && state_->in_service[i] != kNoJob) {
+      work += state_->busy_until[i] - state_->now;
+    }
+    return work;
+  }
   /// Estimated cost of job j on machine i.
-  [[nodiscard]] virtual Cost cost(MachineId i, JobId j) const = 0;
+  [[nodiscard]] Cost cost(MachineId i, JobId j) const noexcept {
+    return schedule_->instance().cost(i, j);
+  }
+
+ private:
+  const Schedule* schedule_;
+  const OpenRunState* state_ = nullptr;
 };
 
 class PlacementPolicy {
@@ -49,7 +73,7 @@ class PlacementPolicy {
                                         stats::Rng& rng) const = 0;
 };
 
-/// Uniformly random target.
+/// Uniformly random machine.
 class RandomPlacement final : public PlacementPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "random"; }
@@ -57,9 +81,8 @@ class RandomPlacement final : public PlacementPolicy {
                                 stats::Rng& rng) const override;
 };
 
-/// Power of d choices. With every machine a target and work(i) == load(i),
-/// the probe sequence and tie-breaks match
-/// centralized::two_choices_schedule draw-for-draw.
+/// Power of d choices. Over a batch view, the probe sequence and tie-breaks
+/// match centralized::two_choices_schedule draw-for-draw.
 class TwoChoicesPlacement final : public PlacementPolicy {
  public:
   explicit TwoChoicesPlacement(std::size_t d);
@@ -72,8 +95,8 @@ class TwoChoicesPlacement final : public PlacementPolicy {
   std::size_t d_;
 };
 
-/// Deterministic earliest completion time: argmin over targets of
-/// work + cost, first (lowest-k) target on ties. Draws nothing.
+/// Deterministic earliest completion time: argmin over machines of
+/// work + cost, lowest id on ties. Draws nothing.
 class EctPlacement final : public PlacementPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "ect"; }

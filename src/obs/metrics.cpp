@@ -5,16 +5,6 @@
 
 namespace dlb::obs {
 
-int Histogram::bucket_index(double v) noexcept {
-  if (!(v > 0.0)) return 0;  // NaN fails the test too
-  // frexp leaves the exponent of an infinity unspecified.
-  if (std::isinf(v)) return kNumBuckets - 1;
-  int exp = 0;
-  (void)std::frexp(v, &exp);  // v = mantissa * 2^exp, mantissa in [0.5, 1)
-  const int index = exp - kMinExp;
-  return std::clamp(index, 0, kNumBuckets - 1);
-}
-
 void Histogram::observe(double v) noexcept {
   buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);

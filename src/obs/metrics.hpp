@@ -8,8 +8,10 @@
 // through stats::Json with names in sorted order, which keeps the output
 // byte-deterministic for a deterministic workload.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -64,8 +66,16 @@ class Histogram {
   void observe(double v) noexcept;
 
   /// The bucket observe() counts v in: the one bucket rule, shared with
-  /// callers that count buckets in plain local arrays.
-  [[nodiscard]] static int bucket_index(double v) noexcept;
+  /// callers that count buckets in plain local arrays. It is frexp's
+  /// exponent minus kMinExp, clamped: for v > 0 with biased IEEE exponent
+  /// e, frexp gives e - 1022 on normals, and subnormals (e == 0) and +inf
+  /// (e == 2047) clamp to the first and last bucket.
+  [[nodiscard]] static int bucket_index(double v) noexcept {
+    if (!(v > 0.0)) return 0;  // NaN fails the test too
+    const auto biased =
+        static_cast<int>(std::bit_cast<std::uint64_t>(v) >> 52);  // sign 0
+    return std::clamp(biased - 1022 - kMinExp, 0, kNumBuckets - 1);
+  }
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);

@@ -4,22 +4,6 @@
 
 namespace dlb::stats {
 
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 double Rng::normal() noexcept {
   // Marsaglia polar method; we do not cache the second deviate to keep the
   // generator state a pure function of the number of calls.
@@ -31,11 +15,6 @@ double Rng::normal() noexcept {
       return u * std::sqrt(-2.0 * std::log(s) / s);
     }
   }
-}
-
-double Rng::exponential(double lambda) noexcept {
-  // Inverse-CDF; 1 - uniform() is in (0, 1] so the log is finite.
-  return -std::log(1.0 - uniform()) / lambda;
 }
 
 }  // namespace dlb::stats

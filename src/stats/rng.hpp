@@ -9,6 +9,7 @@
 // through splitmix64, the combination recommended by Blackman & Vigna.
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -66,8 +67,23 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound). Uses Lemire's multiply-shift rejection
-  /// method: unbiased and branch-cheap. bound must be > 0.
-  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;
+  /// method: unbiased and branch-cheap. bound must be > 0. Inline: the
+  /// shuffles, selectors and placement draw it millions of times a run.
+  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept {
+    std::uint64_t x = (*this)();
+    __uint128_t m =
+        static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in the inclusive range [lo, hi].
   [[nodiscard]] std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept {
@@ -81,8 +97,11 @@ class Rng {
   /// Standard normal via Marsaglia polar method (deterministic given state).
   [[nodiscard]] double normal() noexcept;
 
-  /// Exponential with rate lambda (> 0).
-  [[nodiscard]] double exponential(double lambda) noexcept;
+  /// Exponential with rate lambda (> 0), by inverse CDF: 1 - uniform() is
+  /// in (0, 1], so the log is finite.
+  [[nodiscard]] double exponential(double lambda) noexcept {
+    return -std::log(1.0 - uniform()) / lambda;
+  }
 
   /// The four xoshiro256** state words, for checkpointing. A generator
   /// rebuilt with from_state() continues the exact draw sequence.

@@ -10,12 +10,15 @@
 #include <string>
 #include <string_view>
 
+#include "core/cost_model.hpp"
 #include "core/generators.hpp"
 #include "golden_digest.hpp"
 #include "dist/churn.hpp"
 #include "dist/parallel_exchange_engine.hpp"
+#include "dist/selector_registry.hpp"
 #include "obs/obs.hpp"
 #include "pairwise/basic_greedy.hpp"
+#include "pairwise/kernel_registry.hpp"
 #include "pairwise/pairwise_optimal.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -473,6 +476,69 @@ TEST(EngineGolden, ParallelFourThreadPool) {
   expect_golden(golden_parallel, GoldenConfig::kPool,
                 {0x004288A32D27576DULL, 0x1675BE8EE5ADC488ULL,
                  0x5BE792A871EEEE71ULL});
+}
+
+// ----- SequentialRepair: a budgeted ExchangeEngine run, burst after burst -----
+
+// One runner over consecutive bursts against a fresh ExchangeEngine run per
+// burst with max_exchanges = budget: the schedule, the generator and the
+// tallies agree after every burst, for budgets inside one epoch, exactly
+// one, and several, with a risk-aware kernel whose prepare() matters and a
+// load-aware selector that reads the schedule.
+TEST(SequentialRepair, EachBurstIsABudgetedExchangeEngineRun) {
+  Instance instance = gen::two_cluster_uniform(4, 3, 90, 1.0, 100.0, 9);
+  instance.set_cost_model(cost::CostModel(std::vector<cost::Dist>(
+      instance.num_jobs(), cost::parse_dist("lognormal:0.5"))));
+  const std::size_t m = instance.num_machines();
+  const Assignment initial = gen::random_assignment(instance, 4);
+  for (const char* kernel_name : {"dlb2c", "dlb2c_q95", "basic-greedy"}) {
+    const pairwise::PairKernel& kernel =
+        pairwise::kernel_registry().get(kernel_name);
+    for (const char* selector_name : {"uniform", "max-load"}) {
+      const auto selector = selector_registry().create(selector_name);
+      SequentialRepair runner(kernel, *selector, m);
+      Schedule by_runner(instance, initial);
+      Schedule by_engine(instance, initial);
+      stats::Rng runner_rng(77);
+      stats::Rng engine_rng(77);
+      for (const std::size_t budget :
+           {std::size_t{1}, m - 1, m, m + 1, 3 * m + 2, std::size_t{2}}) {
+        const SequentialRepair::Tally tally =
+            runner.run(by_runner, budget, runner_rng);
+        const RunResult result = ExchangeEngine(kernel, *selector)
+                                     .run(by_engine, capped(budget),
+                                          engine_rng);
+        const std::string where = std::string(kernel_name) + " / " +
+                                  selector_name + ", budget " +
+                                  std::to_string(budget);
+        EXPECT_EQ(tally.exchanges, result.exchanges) << where;
+        EXPECT_EQ(tally.changed, result.changed_exchanges) << where;
+        EXPECT_EQ(runner_rng.state(), engine_rng.state()) << where;
+        ASSERT_EQ(by_runner.fingerprint(), by_engine.fingerprint()) << where;
+        for (MachineId i = 0; i < m; ++i) {
+          ASSERT_EQ(by_runner.load(i), by_engine.load(i)) << where;
+          ASSERT_EQ(by_runner.decision_load(i), by_engine.decision_load(i))
+              << where;
+        }
+      }
+      EXPECT_GT(by_runner.migrations(), 0u) << kernel_name;
+    }
+  }
+}
+
+TEST(SequentialRepair, ZeroBudgetDrawsNothing) {
+  const Instance instance = gen::identical_uniform(3, 12, 1.0, 10.0, 2);
+  Schedule schedule(instance, gen::random_assignment(instance, 1));
+  const std::uint64_t before = schedule.fingerprint();
+  const pairwise::BasicGreedyKernel kernel;
+  const UniformPeerSelector selector;
+  SequentialRepair runner(kernel, selector, instance.num_machines());
+  stats::Rng rng(5);
+  const stats::Rng::State state = rng.state();
+  const SequentialRepair::Tally tally = runner.run(schedule, 0, rng);
+  EXPECT_EQ(tally.exchanges, 0u);
+  EXPECT_EQ(rng.state(), state);
+  EXPECT_EQ(schedule.fingerprint(), before);
 }
 
 }  // namespace

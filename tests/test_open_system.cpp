@@ -206,28 +206,6 @@ TEST(ArrivalPlan, CycleTooSmallToUseUpAGapIsRefused) {
 
 // ----- placement policies -----
 
-/// A minimal view over a schedule under construction: work is the
-/// committed load, every machine is a target.
-class ScheduleView final : public PlacementView {
- public:
-  explicit ScheduleView(const Schedule& schedule) : schedule_(&schedule) {}
-  [[nodiscard]] std::size_t num_targets() const override {
-    return schedule_->num_machines();
-  }
-  [[nodiscard]] MachineId target(std::size_t k) const override {
-    return static_cast<MachineId>(k);
-  }
-  [[nodiscard]] Cost work(MachineId i) const override {
-    return schedule_->load(i);
-  }
-  [[nodiscard]] Cost cost(MachineId i, JobId j) const override {
-    return schedule_->instance().cost(i, j);
-  }
-
- private:
-  const Schedule* schedule_;
-};
-
 TEST(Placement, TwoChoicesMatchesTheCentralizedScheduleDrawForDraw) {
   const Instance instance = gen::uniform_unrelated(5, 24, 1.0, 100.0, 3);
   stats::Rng reference_rng(11);
@@ -236,7 +214,7 @@ TEST(Placement, TwoChoicesMatchesTheCentralizedScheduleDrawForDraw) {
 
   const TwoChoicesPlacement policy(2);
   Schedule actual(instance);
-  const ScheduleView view(actual);
+  const PlacementView view(actual);
   stats::Rng rng(11);
   const auto jobs = static_cast<JobId>(instance.num_jobs());
   for (JobId j = 0; j < jobs; ++j) {
