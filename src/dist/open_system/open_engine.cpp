@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -283,6 +284,18 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     }
   }
 
+  // One bit per idle machine, kept with in_service. Service is
+  // work-conserving, so an idle machine's row is empty between events and
+  // only a repair burst can hand it waiting jobs; the sweep after a burst
+  // visits these bits alone, in ascending machine id.
+  std::vector<std::uint64_t> idle((m + 63) / 64, 0);
+  const auto mark_idle = [&](MachineId i) {
+    idle[i / 64] |= std::uint64_t{1} << (i % 64);
+  };
+  for (MachineId i = 0; i < m; ++i) {
+    if (state.in_service[i] == kNoJob) mark_idle(i);
+  }
+
   const auto service_time = [&](MachineId i, JobId j) -> double {
     double c = instance.cost(i, j);
     if (options.realize_service && instance.has_cost_model()) {
@@ -323,6 +336,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     }
     schedule.unassign(next);
     state.in_service[i] = next;
+    idle[i / 64] &= ~(std::uint64_t{1} << (i % 64));
     state.busy_until[i] = horizon;
     completions.emplace(state.busy_until[i], i);
   };
@@ -363,11 +377,12 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     state.repair_migrations += schedule.migrations() - migrations_pre;
     // Repair may have parked waiting jobs on idle machines; service is
     // work-conserving, so they start immediately (ascending machine id).
-    // start_next returns at once on an empty row, so only idle machines
-    // holding waiting jobs are visited.
-    for (MachineId i = 0; i < m; ++i) {
-      if (state.in_service[i] == kNoJob && !schedule.jobs_on(i).empty()) {
-        start_next(i);
+    // start_next clears the bit it starts; `bits` is a copy.
+    for (std::size_t word = 0; word < idle.size(); ++word) {
+      for (std::uint64_t bits = idle[word]; bits != 0; bits &= bits - 1) {
+        const auto i =
+            static_cast<MachineId>(word * 64 + std::countr_zero(bits));
+        if (!schedule.jobs_on(i).empty()) start_next(i);
       }
     }
     if (options.record_trace) {
@@ -440,6 +455,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
         const JobId j = state.in_service[comp_machine];
         state.completion_time[j] = state.now;
         state.in_service[comp_machine] = kNoJob;
+        mark_idle(comp_machine);
         ++state.completed;
         start_next(comp_machine);
         break;
