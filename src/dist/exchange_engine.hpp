@@ -10,7 +10,9 @@
 // this engine is its sequential planner. Every epoch each live machine
 // initiates once, in an order shuffled with the caller's Rng, and each step
 // is one exchange whose peer is drawn after the previous exchange, so
-// load-aware selectors see the schedule as it is. Observability: counters
+// load-aware selectors see the schedule as it is. SequentialRepair runs the
+// same steps as short budgeted bursts without the driver, for the open
+// system's background repair. Observability: counters
 // exchange.count / .changed / .migrations, gauge exchange.cmax, tracer
 // spans "exchange" on the virtual axis of one microsecond per exchange.
 
