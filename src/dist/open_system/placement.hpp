@@ -13,8 +13,8 @@
 //
 // Policies read the run through one concrete PlacementView: every machine
 // is a target, and a machine's work is its waiting load plus the remaining
-// service of the job it is serving. Over a plain batch Schedule (nothing in
-// service) the work is the load.
+// service of the job it is serving. Over a batch Schedule with nothing in
+// service the work is the load.
 
 #include <cstddef>
 #include <memory>
@@ -33,13 +33,11 @@ namespace dlb::dist {
 /// them as they change.
 class PlacementView {
  public:
-  /// The open engine's view: `state` says which job each machine serves
-  /// until when, and `state.now` is the submission time.
+  /// `state` says which job each machine serves until when, and
+  /// `state.now` is the submission time. A batch schedule with nothing in
+  /// service passes an idle state: every in_service entry kNoJob.
   PlacementView(const Schedule& schedule, const OpenRunState& state) noexcept
       : schedule_(&schedule), state_(&state) {}
-  /// A batch view: nothing is in service, so work(i) is the load.
-  explicit PlacementView(const Schedule& schedule) noexcept
-      : schedule_(&schedule) {}
 
   /// Number of machines, all of them targets (> 0).
   [[nodiscard]] std::size_t num_machines() const noexcept {
@@ -48,7 +46,7 @@ class PlacementView {
   /// Work already committed to machine i (queued + in service).
   [[nodiscard]] Cost work(MachineId i) const noexcept {
     Cost work = schedule_->load(i);
-    if (state_ != nullptr && state_->in_service[i] != kNoJob) {
+    if (state_->in_service[i] != kNoJob) {
       work += state_->busy_until[i] - state_->now;
     }
     return work;
@@ -60,7 +58,7 @@ class PlacementView {
 
  private:
   const Schedule* schedule_;
-  const OpenRunState* state_ = nullptr;
+  const OpenRunState* state_;
 };
 
 class PlacementPolicy {
@@ -81,8 +79,8 @@ class RandomPlacement final : public PlacementPolicy {
                                 stats::Rng& rng) const override;
 };
 
-/// Power of d choices. Over a batch view, the probe sequence and tie-breaks
-/// match centralized::two_choices_schedule draw-for-draw.
+/// Power of d choices. With nothing in service, the probe sequence and
+/// tie-breaks match centralized::two_choices_schedule draw-for-draw.
 class TwoChoicesPlacement final : public PlacementPolicy {
  public:
   explicit TwoChoicesPlacement(std::size_t d);

@@ -214,7 +214,9 @@ TEST(Placement, TwoChoicesMatchesTheCentralizedScheduleDrawForDraw) {
 
   const TwoChoicesPlacement policy(2);
   Schedule actual(instance);
-  const PlacementView view(actual);
+  OpenRunState idle;
+  idle.in_service.assign(instance.num_machines(), kNoJob);
+  const PlacementView view(actual, idle);
   stats::Rng rng(11);
   const auto jobs = static_cast<JobId>(instance.num_jobs());
   for (JobId j = 0; j < jobs; ++j) {
