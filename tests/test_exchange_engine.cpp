@@ -478,7 +478,7 @@ TEST(EngineGolden, ParallelFourThreadPool) {
                  0x5BE792A871EEEE71ULL});
 }
 
-// ----- SequentialRepair: a budgeted ExchangeEngine run, burst after burst -----
+// ----- SequentialRepair: budgeted ExchangeEngine runs, burst after burst -----
 
 // One runner over consecutive bursts against a fresh ExchangeEngine run per
 // burst with max_exchanges = budget: the schedule, the generator and the

@@ -3,9 +3,10 @@
 // centralized baselines, the rejection of runs without arrivals, repair
 // thread-invariance at 1/4/8 workers, halt/checkpoint/resume equivalence
 // (report JSON + metrics snapshot + trace suffix), the end of the arrival
-// lookahead, Section IV's claim that repair lowers the response time, the
-// completion order on equal horizons, and the heap-vs-mapped InstanceStore
-// leg. See docs/open-system.md for the determinism contract.
+// lookahead, golden digests of the repair bursts, Section IV's claim that
+// repair lowers the response time, the completion order on equal horizons,
+// and the heap-vs-mapped InstanceStore leg. See docs/open-system.md for the
+// determinism contract.
 
 #include "dist/open_system/open_engine.hpp"
 
